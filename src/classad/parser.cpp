@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <string>
 
 #include "classad/lexer.h"
 
@@ -15,14 +16,20 @@ std::string lower(std::string s) {
   return s;
 }
 
+/// A parsed subtree and its depth in nesting levels (see kMaxExprDepth).
+struct Parsed {
+  ExprPtr expr;
+  std::size_t depth{1};
+};
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
 
   ExprPtr parse_full_expr() {
-    ExprPtr e = expr();
+    Parsed e = expr();
     expect(TokenKind::kEnd, "trailing input after expression");
-    return e;
+    return std::move(e.expr);
   }
 
   ClassAd parse_ad() {
@@ -44,7 +51,7 @@ class Parser {
       }
       advance();
       expect(TokenKind::kAssign, "expected '=' after attribute name");
-      ad.insert(name.text, expr());
+      ad.insert(name.text, expr().expr);
       // Separators between assignments are ';' (optionally trailing).
       while (accept(TokenKind::kSemicolon)) {
       }
@@ -54,6 +61,47 @@ class Parser {
   }
 
  private:
+  /// One nesting level on the way down: a parenthesised group, a unary
+  /// operand, a conditional branch or a call argument. The enclosing levels
+  /// all add to the finished tree's depth, so failing here rejects only
+  /// trees that would be too deep, and does so before the recursion can
+  /// exhaust the stack.
+  class Descend {
+   public:
+    explicit Descend(Parser& parser) : parser_(parser) {
+      if (++parser_.nesting_ > kMaxExprDepth) {
+        --parser_.nesting_;
+        parser_.too_deep();
+      }
+    }
+    ~Descend() { --parser_.nesting_; }
+    Descend(const Descend&) = delete;
+    Descend& operator=(const Descend&) = delete;
+
+   private:
+    Parser& parser_;
+  };
+
+  [[noreturn]] void too_deep() const {
+    throw ParseError("expression nested deeper than " + std::to_string(kMaxExprDepth) +
+                         " levels",
+                     peek().offset);
+  }
+
+  /// Wrap `expr` as a node one level above its deepest child.
+  Parsed node(ExprPtr expr, std::size_t child_depth) const {
+    if (child_depth >= kMaxExprDepth) {
+      too_deep();
+    }
+    return {std::move(expr), child_depth + 1};
+  }
+
+  Parsed binary(BinaryOp op, Parsed lhs, Parsed rhs) const {
+    const std::size_t depth = std::max(lhs.depth, rhs.depth);
+    return node(std::make_shared<BinaryExpr>(op, std::move(lhs.expr), std::move(rhs.expr)),
+                depth);
+  }
+
   const Token& peek(std::size_t ahead = 0) const {
     const std::size_t i = std::min(pos_ + ahead, tokens_.size() - 1);
     return tokens_[i];
@@ -76,36 +124,39 @@ class Parser {
     }
   }
 
-  ExprPtr expr() {
-    ExprPtr cond = or_expr();
+  Parsed expr() {
+    Parsed cond = or_expr();
     if (accept(TokenKind::kQuestion)) {
-      ExprPtr then = expr();
+      const Descend level{*this};
+      Parsed then = expr();
       expect(TokenKind::kColon, "expected ':' in conditional");
-      ExprPtr otherwise = expr();
-      return std::make_shared<ConditionalExpr>(std::move(cond), std::move(then),
-                                               std::move(otherwise));
+      Parsed otherwise = expr();
+      const std::size_t depth = std::max({cond.depth, then.depth, otherwise.depth});
+      return node(std::make_shared<ConditionalExpr>(std::move(cond.expr), std::move(then.expr),
+                                                    std::move(otherwise.expr)),
+                  depth);
     }
     return cond;
   }
 
-  ExprPtr or_expr() {
-    ExprPtr lhs = and_expr();
+  Parsed or_expr() {
+    Parsed lhs = and_expr();
     while (accept(TokenKind::kOr)) {
-      lhs = std::make_shared<BinaryExpr>(BinaryOp::kOr, std::move(lhs), and_expr());
+      lhs = binary(BinaryOp::kOr, std::move(lhs), and_expr());
     }
     return lhs;
   }
 
-  ExprPtr and_expr() {
-    ExprPtr lhs = cmp_expr();
+  Parsed and_expr() {
+    Parsed lhs = cmp_expr();
     while (accept(TokenKind::kAnd)) {
-      lhs = std::make_shared<BinaryExpr>(BinaryOp::kAnd, std::move(lhs), cmp_expr());
+      lhs = binary(BinaryOp::kAnd, std::move(lhs), cmp_expr());
     }
     return lhs;
   }
 
-  ExprPtr cmp_expr() {
-    ExprPtr lhs = sum_expr();
+  Parsed cmp_expr() {
+    Parsed lhs = sum_expr();
     while (true) {
       BinaryOp op;
       switch (peek().kind) {
@@ -131,68 +182,75 @@ class Parser {
           return lhs;
       }
       advance();
-      lhs = std::make_shared<BinaryExpr>(op, std::move(lhs), sum_expr());
+      lhs = binary(op, std::move(lhs), sum_expr());
     }
   }
 
-  ExprPtr sum_expr() {
-    ExprPtr lhs = term_expr();
+  Parsed sum_expr() {
+    Parsed lhs = term_expr();
     while (true) {
       if (accept(TokenKind::kPlus)) {
-        lhs = std::make_shared<BinaryExpr>(BinaryOp::kAdd, std::move(lhs), term_expr());
+        lhs = binary(BinaryOp::kAdd, std::move(lhs), term_expr());
       } else if (accept(TokenKind::kMinus)) {
-        lhs = std::make_shared<BinaryExpr>(BinaryOp::kSub, std::move(lhs), term_expr());
+        lhs = binary(BinaryOp::kSub, std::move(lhs), term_expr());
       } else {
         return lhs;
       }
     }
   }
 
-  ExprPtr term_expr() {
-    ExprPtr lhs = unary_expr();
+  Parsed term_expr() {
+    Parsed lhs = unary_expr();
     while (true) {
       if (accept(TokenKind::kStar)) {
-        lhs = std::make_shared<BinaryExpr>(BinaryOp::kMul, std::move(lhs), unary_expr());
+        lhs = binary(BinaryOp::kMul, std::move(lhs), unary_expr());
       } else if (accept(TokenKind::kSlash)) {
-        lhs = std::make_shared<BinaryExpr>(BinaryOp::kDiv, std::move(lhs), unary_expr());
+        lhs = binary(BinaryOp::kDiv, std::move(lhs), unary_expr());
       } else if (accept(TokenKind::kPercent)) {
-        lhs = std::make_shared<BinaryExpr>(BinaryOp::kMod, std::move(lhs), unary_expr());
+        lhs = binary(BinaryOp::kMod, std::move(lhs), unary_expr());
       } else {
         return lhs;
       }
     }
   }
 
-  ExprPtr unary_expr() {
+  Parsed unary_expr() {
+    UnaryOp op;
     if (accept(TokenKind::kNot)) {
-      return std::make_shared<UnaryExpr>(UnaryOp::kNot, unary_expr());
+      op = UnaryOp::kNot;
+    } else if (accept(TokenKind::kMinus)) {
+      op = UnaryOp::kMinus;
+    } else {
+      return primary();
     }
-    if (accept(TokenKind::kMinus)) {
-      return std::make_shared<UnaryExpr>(UnaryOp::kMinus, unary_expr());
-    }
-    return primary();
+    const Descend level{*this};
+    Parsed operand = unary_expr();
+    return node(std::make_shared<UnaryExpr>(op, std::move(operand.expr)), operand.depth);
   }
 
-  ExprPtr primary() {
+  Parsed primary() {
     const Token& t = peek();
     switch (t.kind) {
       case TokenKind::kInteger: {
         advance();
-        return literal(Value::integer(t.int_value));
+        return {literal(Value::integer(t.int_value))};
       }
       case TokenKind::kReal: {
         advance();
-        return literal(Value::real(t.real_value));
+        return {literal(Value::real(t.real_value))};
       }
       case TokenKind::kString: {
         advance();
-        return literal(Value::string(t.text));
+        return {literal(Value::string(t.text))};
       }
       case TokenKind::kLParen: {
         advance();
-        ExprPtr inner = expr();
+        const Descend level{*this};
+        Parsed inner = expr();
         expect(TokenKind::kRParen, "expected ')'");
-        return inner;
+        // The group makes no node but counts as a level, so the depth
+        // also bounds the parser's own recursion.
+        return node(std::move(inner.expr), inner.depth);
       }
       case TokenKind::kIdentifier:
         return identifier();
@@ -201,22 +259,22 @@ class Parser {
     }
   }
 
-  ExprPtr identifier() {
+  Parsed identifier() {
     const Token name = peek();
     advance();
     const std::string low = lower(name.text);
     // Keyword literals.
     if (low == "true") {
-      return literal(Value::boolean(true));
+      return {literal(Value::boolean(true))};
     }
     if (low == "false") {
-      return literal(Value::boolean(false));
+      return {literal(Value::boolean(false))};
     }
     if (low == "undefined") {
-      return literal(Value::undefined());
+      return {literal(Value::undefined())};
     }
     if (low == "error") {
-      return literal(Value::error());
+      return {literal(Value::error())};
     }
     // Scoped reference: MY.attr / TARGET.attr.
     if ((low == "my" || low == "target") && accept(TokenKind::kDot)) {
@@ -227,25 +285,29 @@ class Parser {
       advance();
       const auto scope =
           low == "my" ? AttrRefExpr::Scope::kMy : AttrRefExpr::Scope::kTarget;
-      return std::make_shared<AttrRefExpr>(scope, attr.text);
+      return {std::make_shared<AttrRefExpr>(scope, attr.text)};
     }
     // Function call.
     if (accept(TokenKind::kLParen)) {
       std::vector<ExprPtr> args;
+      std::size_t depth = 0;
       if (!accept(TokenKind::kRParen)) {
-        args.push_back(expr());
-        while (accept(TokenKind::kComma)) {
-          args.push_back(expr());
-        }
+        const Descend level{*this};
+        do {
+          Parsed arg = expr();
+          depth = std::max(depth, arg.depth);
+          args.push_back(std::move(arg.expr));
+        } while (accept(TokenKind::kComma));
         expect(TokenKind::kRParen, "expected ')' after arguments");
       }
-      return std::make_shared<FunctionCallExpr>(name.text, std::move(args));
+      return node(std::make_shared<FunctionCallExpr>(name.text, std::move(args)), depth);
     }
-    return std::make_shared<AttrRefExpr>(AttrRefExpr::Scope::kDefault, name.text);
+    return {std::make_shared<AttrRefExpr>(AttrRefExpr::Scope::kDefault, name.text)};
   }
 
   std::vector<Token> tokens_;
   std::size_t pos_{0};
+  std::size_t nesting_{0};
 };
 
 }  // namespace

@@ -22,6 +22,13 @@ class ParseError : public std::runtime_error {
   std::size_t offset_;
 };
 
+/// Deepest expression the parser accepts, in nesting levels: a literal or
+/// reference is one level, and every operator, conditional, call and
+/// parenthesised group adds one. Deeper input throws ParseError. Real
+/// expressions stay far below this; the bound keeps the recursive parser,
+/// evaluator and destructor within the stack.
+inline constexpr std::size_t kMaxExprDepth = 256;
+
 /// Parse a single expression, e.g. `TARGET.Memory >= 2048 && Arch == "x86_64"`.
 /// Grammar (precedence low→high):
 ///   expr   := or ('?' expr ':' expr)?

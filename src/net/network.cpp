@@ -99,7 +99,6 @@ void NetworkModel::cancel_flow(FlowId id) {
     return;
   }
   advance_progress();
-  it->second.completion.cancel();
   it->second.deadline.cancel();
   flows_.erase(it);
   rebalance();
@@ -113,7 +112,6 @@ std::pair<NetworkModel::AbortedFlow, NetworkModel::AbortFn> NetworkModel::detach
     FlowId id) {
   const auto it = flows_.find(id);
   Flow& flow = it->second;
-  flow.completion.cancel();
   flow.deadline.cancel();
   const double done = static_cast<double>(flow.total_bytes) - std::max(0.0, flow.remaining);
   AbortedFlow info;
@@ -220,68 +218,78 @@ void NetworkModel::advance_progress() {
   }
 }
 
+void NetworkModel::freeze(Flow& flow, double rate) {
+  flow.rate = rate;
+  for (const std::size_t link : flow.path) {
+    LinkState& ls = link_state_[link];
+    ls.remaining_capacity = std::max(0.0, ls.remaining_capacity - rate);
+    --ls.unfrozen_flows;
+  }
+}
+
 void NetworkModel::rebalance() {
   // Progressive filling (max-min fairness): repeatedly find the most
   // constrained link, freeze its flows at the equal share, remove that
-  // capacity, and continue until every flow is frozen.
-  struct LinkState {
-    double remaining_capacity;
-    std::size_t unfrozen_flows{0};
-  };
-  std::vector<LinkState> state(links_.size());
-  for (std::size_t i = 0; i < links_.size(); ++i) {
-    state[i].remaining_capacity = links_[i].capacity;
-  }
+  // capacity, and continue until every flow is frozen. Flows are visited in
+  // FlowId order and links are charged in that order: with float rounding
+  // the order is observable in the rates.
+  //
+  // The link scratch is sized on first use, so a fabric that never carries
+  // a flow holds none.
+  link_state_.resize(links_.size());
+  busy_links_.clear();
+  unfrozen_.clear();
   for (auto& [id, flow] : flows_) {
     flow.rate = -1.0;  // unfrozen marker
+    unfrozen_.push_back(&flow);
     for (const std::size_t link : flow.path) {
-      ++state[link].unfrozen_flows;
+      LinkState& ls = link_state_[link];
+      if (ls.unfrozen_flows++ == 0) {
+        ls.remaining_capacity = links_[link].capacity;
+        busy_links_.push_back(link);
+      }
     }
   }
 
-  std::size_t unfrozen = flows_.size();
-  while (unfrozen > 0) {
-    // Bottleneck link: minimum per-flow share among links with unfrozen flows.
+  while (!unfrozen_.empty()) {
+    // Bottleneck link: minimum per-flow share among links with unfrozen
+    // flows. Links whose flows are all frozen drop out of the list.
     double min_share = std::numeric_limits<double>::infinity();
-    for (const auto& link : state) {
-      if (link.unfrozen_flows > 0) {
+    std::size_t busy = 0;
+    for (const std::size_t link : busy_links_) {
+      const LinkState& ls = link_state_[link];
+      if (ls.unfrozen_flows > 0) {
         min_share = std::min(min_share,
-                             link.remaining_capacity / static_cast<double>(link.unfrozen_flows));
+                             ls.remaining_capacity / static_cast<double>(ls.unfrozen_flows));
+        busy_links_[busy++] = link;
       }
     }
+    busy_links_.resize(busy);
     assert(min_share < std::numeric_limits<double>::infinity());
     min_share = std::max(min_share, 0.0);
 
     // Rate-capped flows whose ceiling is below the fair share freeze at the
     // cap first (weighted-fairness with per-flow ceilings); the loop then
     // recomputes shares with their capacity released to the others.
-    bool froze_capped = false;
-    for (auto& [id, flow] : flows_) {
-      if (flow.rate >= 0.0 || flow.max_rate <= 0.0 || flow.max_rate >= min_share) {
-        continue;
-      }
-      flow.rate = flow.max_rate;
-      froze_capped = true;
-      --unfrozen;
-      for (const std::size_t link : flow.path) {
-        state[link].remaining_capacity =
-            std::max(0.0, state[link].remaining_capacity - flow.max_rate);
-        --state[link].unfrozen_flows;
+    std::size_t kept = 0;
+    for (Flow* flow : unfrozen_) {
+      if (flow->max_rate > 0.0 && flow->max_rate < min_share) {
+        freeze(*flow, flow->max_rate);
+      } else {
+        unfrozen_[kept++] = flow;
       }
     }
-    if (froze_capped) {
+    if (kept < unfrozen_.size()) {
+      unfrozen_.resize(kept);
       continue;
     }
 
     // Freeze every unfrozen flow that crosses a link achieving that share.
-    bool froze_any = false;
-    for (auto& [id, flow] : flows_) {
-      if (flow.rate >= 0.0) {
-        continue;
-      }
+    kept = 0;
+    for (Flow* flow : unfrozen_) {
       bool bottlenecked = false;
-      for (const std::size_t link : flow.path) {
-        const auto& ls = state[link];
+      for (const std::size_t link : flow->path) {
+        const LinkState& ls = link_state_[link];
         if (ls.unfrozen_flows > 0 &&
             ls.remaining_capacity / static_cast<double>(ls.unfrozen_flows) <=
                 min_share * (1.0 + 1e-12)) {
@@ -289,41 +297,52 @@ void NetworkModel::rebalance() {
           break;
         }
       }
-      if (!bottlenecked) {
-        continue;
-      }
-      flow.rate = flow.max_rate > 0.0 ? std::min(min_share, flow.max_rate) : min_share;
-      froze_any = true;
-      --unfrozen;
-      for (const std::size_t link : flow.path) {
-        state[link].remaining_capacity =
-            std::max(0.0, state[link].remaining_capacity - flow.rate);
-        --state[link].unfrozen_flows;
+      if (bottlenecked) {
+        freeze(*flow, flow->max_rate > 0.0 ? std::min(min_share, flow->max_rate) : min_share);
+      } else {
+        unfrozen_[kept++] = flow;
       }
     }
+    const bool froze_any = kept < unfrozen_.size();
+    unfrozen_.resize(kept);
     assert(froze_any);
     if (!froze_any) {
       break;  // defensive: avoid an infinite loop under FP pathology
     }
   }
+  for (const std::size_t link : busy_links_) {
+    link_state_[link].unfrozen_flows = 0;  // only the defensive break leaves any
+  }
 
-  // Reschedule completion events at the new rates.
-  for (auto& [id, flow] : flows_) {
-    flow.completion.cancel();
-    const FlowId fid = id;
+  // Reschedule the wakeup at the earliest (completion time, FlowId). A
+  // drained flow completes now, which no other flow can beat, so the first
+  // one in FlowId order ends the search.
+  wakeup_.cancel();
+  const sim::SimTime now = sim_.now();
+  const Flow* next = nullptr;
+  sim::SimTime next_at;
+  for (const auto& [id, flow] : flows_) {
     if (flow.remaining <= kEpsilonBytes) {
-      flow.completion = sim_.schedule_after(sim::micros(0), [this, fid] { complete_flow(fid); });
-      continue;
+      next = &flow;
+      next_at = now;
+      break;
     }
     if (flow.rate <= 0.0) {
-      continue;  // fully blocked; will be rescheduled on the next rebalance
+      continue;  // fully blocked until a later rebalance gives it a rate
     }
     // Round the completion up to the next microsecond so the event fires at
     // or after the fluid model's drain time, never a fraction early.
     const double secs = flow.remaining / flow.rate;
-    const auto micros = static_cast<std::int64_t>(std::ceil(secs * 1e6)) + 1;
-    flow.completion =
-        sim_.schedule_after(sim::micros(micros), [this, fid] { complete_flow(fid); });
+    const sim::SimTime at =
+        now + sim::micros(static_cast<std::int64_t>(std::ceil(secs * 1e6)) + 1);
+    if (next == nullptr || at < next_at) {
+      next = &flow;
+      next_at = at;
+    }
+  }
+  if (next != nullptr) {
+    const FlowId fid = next->id;
+    wakeup_ = sim_.schedule_at(next_at, [this, fid] { complete_flow(fid); });
   }
 }
 
@@ -334,8 +353,8 @@ void NetworkModel::complete_flow(FlowId id) {
   }
   advance_progress();
   if (it->second.remaining > kEpsilonBytes) {
-    // Spurious wake-up (the flow's rate dropped since this event was
-    // scheduled); recompute rates and reschedule everyone's completions.
+    // Spurious wake-up (rounding left more than kEpsilonBytes to go);
+    // recompute rates and reschedule the wakeup.
     rebalance();
     return;
   }

@@ -39,8 +39,18 @@ struct FabricSpec {
 /// whose path claims capacity on: the source disk (optional), source NIC,
 /// rack uplinks when crossing racks, destination NIC, and destination disk
 /// (optional, for writes). Rates are recomputed by progressive filling each
-/// time a flow starts or finishes; completions are scheduled on the
-/// simulation clock.
+/// time a flow starts or finishes, over only the links some flow uses.
+///
+/// Completions ride on one simulation event per fabric, the *wakeup*. Every
+/// rebalance computes each flow's completion time (now for a drained flow,
+/// none for a stalled one, otherwise the drain time rounded up to the next
+/// microsecond), cancels the wakeup and reschedules it at the earliest
+/// (time, FlowId); firing it completes that flow. The ordering contract
+/// this gives: flows finishing in the same microsecond complete in FlowId
+/// order, each one after the events queued for that instant before the
+/// latest rebalance and before those queued after it. A completion
+/// rebalances before it calls its handler, so an event the handler
+/// schedules for the same instant runs after the next flow's completion.
 ///
 /// This is what makes replica count matter in the experiments: a single
 /// replica's node saturates its disk/NIC as readers pile on, while extra
@@ -84,8 +94,9 @@ class NetworkModel {
   NetworkModel& operator=(const NetworkModel&) = delete;
 
   /// Start a transfer of `bytes` from node `src` to node `dst` (indices into
-  /// the spec). src == dst models a local read (disk-only path). `on_done`
-  /// fires on the simulation clock when the last byte arrives.
+  /// the spec). src == dst models a local read: the path is that node's
+  /// disk alone, crossed once whatever the disk options. `on_done` fires on
+  /// the simulation clock when the last byte arrives.
   FlowId start_flow(std::size_t src, std::size_t dst, std::uint64_t bytes,
                     FlowOptions options, CompletionFn on_done);
 
@@ -162,8 +173,12 @@ class NetworkModel {
     std::uint64_t total_bytes{0};
     CompletionFn on_done;
     AbortFn on_abort;
-    sim::EventHandle completion;
     sim::EventHandle deadline;
+  };
+  /// Progressive-filling state of one link during a rebalance.
+  struct LinkState {
+    double remaining_capacity{0.0};
+    std::size_t unfrozen_flows{0};
   };
 
   [[nodiscard]] std::size_t disk_link(std::size_t node) const { return node * 3; }
@@ -179,9 +194,12 @@ class NetworkModel {
   /// Charge progress to every flow for time elapsed since its last update.
   void advance_progress();
 
-  /// Recompute all flow rates (progressive filling) and reschedule
-  /// completion events.
+  /// Recompute all flow rates (progressive filling) and reschedule the
+  /// wakeup at the earliest completion.
   void rebalance();
+
+  /// Freeze `flow` at `rate`, charging that rate to every link it crosses.
+  void freeze(Flow& flow, double rate);
 
   void complete_flow(FlowId id);
 
@@ -200,6 +218,15 @@ class NetworkModel {
   /// makes that order part of the determinism contract on every platform
   /// instead of an accident of the hash table's bucket layout.
   std::map<FlowId, Flow> flows_;
+  /// The one pending completion event (see the class comment).
+  sim::EventHandle wakeup_;
+  /// Rebalance scratch, reused across calls. `link_state_` is indexed like
+  /// links_ once sized and has every unfrozen_flows at 0 between calls;
+  /// `busy_links_` holds the links some unfrozen flow crosses, `unfrozen_`
+  /// the flows not yet frozen, in FlowId order.
+  std::vector<LinkState> link_state_;
+  std::vector<std::size_t> busy_links_;
+  std::vector<Flow*> unfrozen_;
   util::IdGenerator<FlowId> flow_ids_{1};
   std::uint64_t bytes_completed_{0};
   std::uint64_t inter_rack_bytes_{0};

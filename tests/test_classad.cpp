@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "cep/epl_parser.h"
 #include "classad/classad.h"
 #include "classad/matchmaker.h"
 #include "classad/parser.h"
@@ -244,6 +247,65 @@ TEST(Parser, UnparseRoundTrip) {
 TEST(Parser, ScientificNotation) {
   EXPECT_EQ(eval("1.5e3"), Value::real(1500.0));
   EXPECT_EQ(eval("2e2"), Value::real(200.0));
+}
+
+// ---------- nesting depth limit ----------
+
+/// `levels` nested parentheses around 1: an expression `levels` + 1 deep.
+std::string nested_parens(std::size_t levels) {
+  return std::string(levels, '(') + "1" + std::string(levels, ')');
+}
+
+/// `ops` chained unary minuses before 1.
+std::string unary_chain(std::size_t ops) { return std::string(ops, '-') + "1"; }
+
+/// `1+1+…+1` with `terms` terms: flat text, but a left-deep tree `terms` deep.
+std::string flat_sum(std::size_t terms) {
+  std::string text = "1";
+  for (std::size_t i = 1; i < terms; ++i) {
+    text += "+1";
+  }
+  return text;
+}
+
+TEST(ParserDepth, DeepNestingThrowsInsteadOfOverflowingTheStack) {
+  EXPECT_THROW(parse_expr(nested_parens(20'000)), ParseError);
+  EXPECT_THROW(parse_expr(unary_chain(20'000)), ParseError);
+  EXPECT_THROW(parse_expr(flat_sum(100'000)), ParseError);
+  EXPECT_THROW(parse_classad("A = " + nested_parens(20'000)), ParseError);
+  // Calls and conditionals nest through the same recursion.
+  std::string calls;
+  std::string choices;
+  for (int i = 0; i < 20'000; ++i) {
+    calls += "abs(";
+    choices += "true ? 1 : ";
+  }
+  EXPECT_THROW(parse_expr(calls + "1" + std::string(20'000, ')')), ParseError);
+  EXPECT_THROW(parse_expr(choices + "1"), ParseError);
+}
+
+TEST(ParserDepth, LimitIsExact) {
+  // kMaxExprDepth levels parse, evaluate and unparse; one more is refused.
+  EXPECT_EQ(eval(nested_parens(kMaxExprDepth - 1)), Value::integer(1));
+  EXPECT_EQ(eval(unary_chain(kMaxExprDepth - 1)),
+            Value::integer(kMaxExprDepth % 2 == 0 ? -1 : 1));
+  EXPECT_EQ(eval(flat_sum(kMaxExprDepth)),
+            Value::integer(static_cast<std::int64_t>(kMaxExprDepth)));
+  EXPECT_FALSE(parse_expr(flat_sum(kMaxExprDepth))->unparse().empty());
+  EXPECT_THROW(parse_expr(nested_parens(kMaxExprDepth)), ParseError);
+  EXPECT_THROW(parse_expr(unary_chain(kMaxExprDepth)), ParseError);
+  EXPECT_THROW(parse_expr(flat_sum(kMaxExprDepth + 1)), ParseError);
+}
+
+TEST(ParserDepth, DeepWhereClauseFailsEplParse) {
+  const std::string statement = "SELECT count(*) AS n FROM audit WHERE " + nested_parens(20'000) +
+                                " WINDOW TIME 60s";
+  EXPECT_THROW(cep::parse_epl(statement), ParseError);
+  // The same statement at a sane depth parses.
+  EXPECT_NE(cep::parse_epl("SELECT count(*) AS n FROM audit WHERE " + nested_parens(8) +
+                           " WINDOW TIME 60s")
+                .where,
+            nullptr);
 }
 
 // ---------- matchmaking ----------

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "net/network.h"
 #include "sim/simulation.h"
 
@@ -139,6 +142,36 @@ TEST(Network, MaxMinFairnessConservation) {
   for (const FlowId id : ids) {
     net.cancel_flow(id);
   }
+}
+
+TEST(Network, SameInstantCompletionsKeepQueueOrder) {
+  // Two equal flows on disjoint paths drain in the same microsecond. A dry
+  // run finds that instant.
+  sim::SimTime at;
+  {
+    sim::Simulation sim;
+    NetworkModel net{sim, small_fabric()};
+    net.start_flow(0, 1, 80'000'000, {}, [&](FlowId) { at = sim.now(); });
+    net.start_flow(2, 3, 80'000'000, {}, nullptr);
+    sim.run();
+  }
+  sim::Simulation sim;
+  NetworkModel net{sim, small_fabric()};
+  std::vector<std::string> order;
+  sim.schedule_at(at, [&] { order.emplace_back("queued before the starts"); });
+  const FlowId a = net.start_flow(0, 1, 80'000'000, {}, [&](FlowId) {
+    order.emplace_back("flow A");
+    sim.schedule_after(sim::micros(0), [&] { order.emplace_back("scheduled by A's handler"); });
+  });
+  const FlowId b =
+      net.start_flow(2, 3, 80'000'000, {}, [&](FlowId) { order.emplace_back("flow B"); });
+  sim.schedule_at(at, [&] { order.emplace_back("queued after the starts"); });
+  ASSERT_LT(a, b);
+  sim.run();
+  EXPECT_EQ(sim.now(), at);
+  EXPECT_EQ(order, (std::vector<std::string>{"queued before the starts", "flow A",
+                                             "queued after the starts", "flow B",
+                                             "scheduled by A's handler"}));
 }
 
 TEST(Network, CancelPreventsCompletion) {

@@ -2,7 +2,10 @@
 // checks, parameterized over seeds and configuration axes.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
 #include <set>
+#include <string>
 
 #include "cep/window.h"
 #include "condor/scheduler.h"
@@ -170,10 +173,15 @@ TEST_P(ErasureFailures, AvailabilityIffEnoughShards) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ErasureFailures,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
-// ---------- network: random fabrics conserve capacity ----------
+// ---------- network: random fabrics are max-min fair ----------
 
 class NetworkFairness : public ::testing::TestWithParam<std::uint64_t> {};
 
+/// Checks the max-min definition directly, after every start, cancel, abort,
+/// completion and degradation change: no link carries more than its
+/// capacity, no flow runs above its cap, and every flow either runs at its
+/// cap or crosses a saturated link on which no flow runs faster. Each flow's
+/// links are rebuilt here from the path rules NetworkModel documents.
 TEST_P(NetworkFairness, SharesNeverExceedLinkCapacity) {
   sim::Rng rng{GetParam()};
   net::FabricSpec spec;
@@ -190,31 +198,167 @@ TEST_P(NetworkFairness, SharesNeverExceedLinkCapacity) {
   }
   sim::Simulation sim;
   net::NetworkModel netm{sim, spec};
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
 
-  int done = 0;
+  // Test-side links: per node disk, nic_out, nic_in; then per rack uplink
+  // out, uplink in.
+  std::vector<double> node_factor(nodes, 1.0);
+  std::vector<double> rack_factor(spec.rack_count, 1.0);
+  const auto capacity = [&](std::size_t link) {
+    if (link < 3 * nodes) {
+      const net::FabricSpec::Node& node = spec.nodes[link / 3];
+      return (link % 3 == 0 ? node.disk_bw : node.nic_bw) * node_factor[link / 3];
+    }
+    return spec.rack_uplink_bw * rack_factor[(link - 3 * nodes) / 2];
+  };
+  const auto path = [&](std::size_t src, std::size_t dst,
+                        const net::NetworkModel::FlowOptions& opts) {
+    std::vector<std::size_t> links;
+    if (src == dst) {
+      links.push_back(3 * src);  // a same-node copy touches one spindle
+      return links;
+    }
+    if (opts.src_disk) {
+      links.push_back(3 * src);
+    }
+    links.push_back(3 * src + 1);
+    const std::size_t src_rack = spec.nodes[src].rack;
+    const std::size_t dst_rack = spec.nodes[dst].rack;
+    if (src_rack != dst_rack) {
+      links.push_back(3 * nodes + 2 * src_rack);
+      links.push_back(3 * nodes + 2 * dst_rack + 1);
+    }
+    links.push_back(3 * dst + 2);
+    if (opts.dst_disk) {
+      links.push_back(3 * dst);
+    }
+    return links;
+  };
+
+  struct Active {
+    std::vector<std::size_t> links;
+    double cap;
+  };
+  std::map<net::FlowId, Active> active;
+  const auto check = [&](const std::string& when) {
+    struct Load {
+      double sum{0.0};
+      double max{0.0};
+    };
+    std::map<std::size_t, Load> load;
+    for (const auto& [id, flow] : active) {
+      const double rate = netm.flow_rate(id);
+      EXPECT_GE(rate, 0.0) << when;
+      if (flow.cap > 0.0) {
+        EXPECT_LE(rate, flow.cap * (1.0 + 1e-9)) << when << ": flow " << id << " above cap";
+      }
+      for (const std::size_t link : flow.links) {
+        load[link].sum += rate;
+        load[link].max = std::max(load[link].max, rate);
+      }
+    }
+    for (const auto& [link, l] : load) {
+      EXPECT_LE(l.sum, capacity(link) * (1.0 + 1e-9)) << when << ": link " << link;
+    }
+    for (const auto& [id, flow] : active) {
+      const double rate = netm.flow_rate(id);
+      bool bottlenecked = flow.cap > 0.0 && rate >= flow.cap * (1.0 - 1e-9);
+      for (const std::size_t link : flow.links) {
+        const Load& l = load[link];
+        bottlenecked = bottlenecked || (l.sum >= capacity(link) * (1.0 - 1e-9) &&
+                                        l.max <= rate * (1.0 + 1e-9));
+      }
+      EXPECT_TRUE(bottlenecked) << when << ": flow " << id << " at " << rate
+                                << " B/s has neither its cap nor a bottleneck link";
+    }
+  };
+
   const int flows = 40;
-  std::vector<net::FlowId> ids;
-  std::vector<std::pair<std::size_t, std::size_t>> endpoints;
+  int done = 0;
+  int removed = 0;
+  std::vector<net::FlowId> started;
+  const auto degrade = [&] {
+    const double factor = std::array{0.0, 0.3, 0.7, 1.0}[pick(4)];
+    if (rng.chance(0.7)) {
+      const std::size_t node = pick(nodes);
+      node_factor[node] = factor;
+      netm.set_node_degradation(node, factor);
+    } else {
+      const std::size_t rack = pick(spec.rack_count);
+      rack_factor[rack] = factor;
+      netm.set_rack_degradation(rack, factor);
+    }
+    check("degrade");
+  };
+  const auto start = [&] {
+    const std::size_t src = pick(nodes);
+    const std::size_t dst = rng.chance(0.15) ? src : pick(nodes);
+    net::NetworkModel::FlowOptions opts;
+    opts.src_disk = rng.chance(0.8);
+    opts.dst_disk = rng.chance(0.3);
+    opts.max_rate = rng.chance(0.3) ? rng.uniform_real(5e6, 80e6) : 0.0;
+    opts.on_abort = [&](net::FlowId id, std::uint64_t) {
+      active.erase(id);
+      ++removed;
+    };
+    const auto bytes = static_cast<std::uint64_t>(rng.uniform_int(0, 64)) * MiB;
+    const Active flow{path(src, dst, opts), opts.max_rate};
+    const net::FlowId id = netm.start_flow(src, dst, bytes, opts, [&](net::FlowId fid) {
+      active.erase(fid);
+      ++done;
+      check("complete");
+    });
+    active.emplace(id, flow);
+    started.push_back(id);
+    check("start");
+  };
+  const auto tear_down = [&] {
+    if (started.empty()) {
+      return;
+    }
+    const net::FlowId id = started[pick(started.size())];
+    if (rng.chance(0.2)) {
+      netm.abort_flows_touching(pick(nodes));
+      check("abort_flows_touching");
+    } else if (rng.chance(0.5)) {
+      netm.abort_flow(id);
+      check("abort");
+    } else {
+      if (active.erase(id) > 0) {
+        ++removed;
+      }
+      netm.cancel_flow(id);
+      check("cancel");
+    }
+  };
+
+  for (int i = 0; i < 3; ++i) {
+    degrade();
+  }
   for (int i = 0; i < flows; ++i) {
-    const auto src = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(nodes) - 1));
-    const auto dst = static_cast<std::size_t>(
-        rng.uniform_int(0, static_cast<std::int64_t>(nodes) - 1));
-    endpoints.emplace_back(src, dst);
-    ids.push_back(netm.start_flow(src, dst,
-                                  static_cast<std::uint64_t>(rng.uniform_int(1, 64)) * MiB,
-                                  {}, [&](net::FlowId) { ++done; }));
+    sim.schedule_at(sim::SimTime{rng.uniform_int(0, 2'000'000)}, start);
   }
-  // Mid-flight: per-source-disk shares must not exceed the disk capacity.
-  std::vector<double> disk_sum(nodes, 0.0);
-  for (int i = 0; i < flows; ++i) {
-    disk_sum[endpoints[i].first] += netm.flow_rate(ids[i]);
+  for (int i = 0; i < 10; ++i) {
+    sim.schedule_at(sim::SimTime{rng.uniform_int(0, 3'000'000)}, tear_down);
+    sim.schedule_at(sim::SimTime{rng.uniform_int(0, 3'000'000)}, degrade);
   }
-  for (std::size_t n = 0; n < nodes; ++n) {
-    EXPECT_LE(disk_sum[n], spec.nodes[n].disk_bw * (1.0 + 1e-6)) << "node " << n;
-  }
+  // Restore the fabric so flows stalled on a zero-capacity link finish.
+  sim.schedule_at(sim::SimTime{3'000'001}, [&] {
+    for (std::size_t n = 0; n < nodes; ++n) {
+      node_factor[n] = 1.0;
+      netm.set_node_degradation(n, 1.0);
+    }
+    for (std::size_t r = 0; r < spec.rack_count; ++r) {
+      rack_factor[r] = 1.0;
+      netm.set_rack_degradation(r, 1.0);
+    }
+    check("restore");
+  });
   sim.run();
-  EXPECT_EQ(done, flows);
+  EXPECT_EQ(done + removed, flows);
+  EXPECT_TRUE(active.empty());
   EXPECT_EQ(netm.active_flows(), 0u);
 }
 
