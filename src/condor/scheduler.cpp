@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "classad/parser.h"
 #include "snapshot/codec.h"
@@ -134,6 +135,7 @@ JobId Scheduler::submit(classad::ClassAd ad, JobClass sched_class, int priority,
   entry.job.submitted = sim_.now();
   entry.on_terminate = std::move(on_terminate);
   append_log(JobLogRecord::Kind::kSubmit, entry.job);
+  enqueue(entry);
   entries_.emplace(id, std::move(entry));
   if (metrics_ != nullptr) {
     metrics_->add(obs_ids_.submitted);
@@ -149,6 +151,7 @@ bool Scheduler::cancel(JobId id) {
   if (it == entries_.end() || it->second.job.status != JobStatus::kQueued) {
     return false;
   }
+  dequeue(it->second);
   it->second.job.status = JobStatus::kCancelled;
   it->second.job.finished = sim_.now();
   append_log(JobLogRecord::Kind::kCancel, it->second.job);
@@ -179,36 +182,38 @@ std::vector<JobId> Scheduler::jobs_in_status(JobStatus status) const {
   return out;
 }
 
-std::size_t Scheduler::queued_count() const {
-  std::size_t n = 0;
-  for (const auto& [id, entry] : entries_) {
-    n += entry.job.status == JobStatus::kQueued ? 1 : 0;
+void Scheduler::enqueue(const Entry& entry) {
+  const Job& job = entry.job;
+  if (entry.not_before > sim_.now()) {
+    backoff_.emplace(entry.not_before, job.id);
+  } else {
+    ready(job.sched_class).insert(ReadyKey{job.priority, job.id});
   }
-  return n;
+  queued_when_idle_ += job.sched_class == JobClass::kWhenIdle ? 1 : 0;
 }
 
-std::optional<JobId> Scheduler::next_startable() const {
-  const bool idle = !idle_probe_ || idle_probe_();
-  std::optional<JobId> best;
-  int best_priority = 0;
-  for (const auto& [id, entry] : entries_) {
-    const Job& job = entry.job;
-    if (job.status != JobStatus::kQueued) {
-      continue;
-    }
-    if (entry.not_before > sim_.now()) {
-      continue;  // retry still in its backoff window
-    }
-    if (job.sched_class == JobClass::kWhenIdle && !idle) {
-      continue;
-    }
-    // std::map iterates in submission (id) order, so ties stay FIFO.
-    if (!best || job.priority > best_priority) {
-      best = id;
-      best_priority = job.priority;
-    }
+void Scheduler::dequeue(const Entry& entry) {
+  const Job& job = entry.job;
+  if (backoff_.erase({entry.not_before, job.id}) == 0) {
+    ready(job.sched_class).erase(ReadyKey{job.priority, job.id});
   }
-  return best;
+  queued_when_idle_ -= job.sched_class == JobClass::kWhenIdle ? 1 : 0;
+}
+
+std::optional<JobId> Scheduler::next_startable() {
+  while (!backoff_.empty() && backoff_.begin()->first <= sim_.now()) {
+    const Job& job = entries_.at(backoff_.begin()->second).job;
+    ready(job.sched_class).insert(ReadyKey{job.priority, job.id});
+    backoff_.erase(backoff_.begin());
+  }
+  const std::set<ReadyKey>& immediate = ready(JobClass::kImmediate);
+  const std::set<ReadyKey>& when_idle = ready(JobClass::kWhenIdle);
+  const ReadyKey* best = immediate.empty() ? nullptr : &*immediate.begin();
+  if (!when_idle.empty() && (best == nullptr || *when_idle.begin() < *best) &&
+      (!idle_probe_ || idle_probe_())) {
+    best = &*when_idle.begin();
+  }
+  return best == nullptr ? std::nullopt : std::optional<JobId>(best->id);
 }
 
 void Scheduler::pump() {
@@ -220,15 +225,7 @@ void Scheduler::pump() {
     start(entries_.at(*id));
   }
   // If deferred jobs remain queued, poll the idle probe periodically.
-  bool idle_waiting = false;
-  for (const auto& [id, entry] : entries_) {
-    if (entry.job.status == JobStatus::kQueued &&
-        entry.job.sched_class == JobClass::kWhenIdle) {
-      idle_waiting = true;
-      break;
-    }
-  }
-  if (idle_waiting) {
+  if (queued_when_idle_ > 0) {
     schedule_idle_poll();
   }
 }
@@ -247,6 +244,7 @@ void Scheduler::schedule_idle_poll() {
 void Scheduler::start(Entry& entry) {
   Job& job = entry.job;
   assert(job.status == JobStatus::kQueued);
+  dequeue(entry);
   const auto cmd = job.ad.get_string("Cmd");
   const auto exec_it = cmd ? executors_.find(*cmd) : executors_.end();
   job.status = JobStatus::kRunning;
@@ -327,6 +325,7 @@ void Scheduler::handle_failure(JobId id) {
       backoff = config_.retry_backoff_cap;
     }
     entry.not_before = sim_.now() + backoff;
+    enqueue(entry);
     append_log(JobLogRecord::Kind::kRetry, job);
     assert(running_ > 0);
     --running_;
@@ -496,8 +495,19 @@ void Scheduler::load_state(snapshot::Reader& r) {
     Job& job = entry.job;
     job.id = JobId{r.u64()};
     job.ad = load_ad(r);
-    job.sched_class = static_cast<JobClass>(r.u8());
-    job.priority = static_cast<int>(r.i64());
+    const std::uint8_t sched_class = r.u8();
+    const std::int64_t priority = r.i64();
+    if (sched_class > static_cast<std::uint8_t>(JobClass::kWhenIdle)) {
+      r.fail(snapshot::ErrorCode::kBadSection, "job class out of range");
+      return;
+    }
+    if (priority < std::numeric_limits<int>::min() ||
+        priority > std::numeric_limits<int>::max()) {
+      r.fail(snapshot::ErrorCode::kBadSection, "job priority out of range");
+      return;
+    }
+    job.sched_class = static_cast<JobClass>(sched_class);
+    job.priority = static_cast<int>(priority);
     job.status = static_cast<JobStatus>(r.u8());
     job.attempts = r.u32();
     job.submitted = sim::SimTime{r.i64()};
@@ -517,7 +527,12 @@ void Scheduler::load_state(snapshot::Reader& r) {
   log.reserve(nlog);
   for (std::uint64_t i = 0; i < nlog && r.ok(); ++i) {
     JobLogRecord rec;
-    rec.kind = static_cast<JobLogRecord::Kind>(r.u8());
+    const std::uint8_t kind = r.u8();
+    if (kind > static_cast<std::uint8_t>(JobLogRecord::Kind::kRetry)) {
+      r.fail(snapshot::ErrorCode::kBadSection, "job log record kind out of range");
+      return;
+    }
+    rec.kind = static_cast<JobLogRecord::Kind>(kind);
     rec.time = sim::SimTime{r.i64()};
     rec.job = JobId{r.u64()};
     rec.cmd = r.str();
@@ -534,7 +549,11 @@ void Scheduler::load_state(snapshot::Reader& r) {
   const std::uint64_t retries = r.u64();
   const std::uint64_t timeouts = r.u64();
   if (!r.ok()) return;
+  // Only terminal jobs load, so nothing is queued.
   entries_ = std::move(entries);
+  for (std::set<ReadyKey>& index : ready_) index.clear();
+  backoff_.clear();
+  queued_when_idle_ = 0;
   log_ = std::move(log);
   machines_ = std::move(machines);
   ids_.reset(next_id);

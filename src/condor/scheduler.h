@@ -1,11 +1,13 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "classad/classad.h"
@@ -97,14 +99,15 @@ struct JobLogRecord {
 /// prefix the result matches the live scheduler's statuses at that time.
 std::map<JobId, JobStatus> recover_statuses(const std::vector<JobLogRecord>& log);
 
-/// Historical name for recover_statuses().
-inline std::map<JobId, JobStatus> replay_log(const std::vector<JobLogRecord>& log) {
-  return recover_statuses(log);
-}
-
 /// Mini-Condor: a priority job queue with two scheduling classes, pluggable
 /// executors per command, rollback-on-failure, an append-only job log, and a
 /// machine-ad registry with ClassAd matchmaking.
+///
+/// Dispatch starts the highest-priority startable queued job, FIFO by JobId
+/// on ties; a retried job keeps its id. Queued jobs live in indexes ordered
+/// that way, one per class, so a dispatch reads two heads instead of
+/// walking every job ever submitted. Retries wait in a backoff index by
+/// their gate time and join their class index once due.
 class Scheduler {
  public:
   /// Executors run asynchronously on the simulation clock and report success.
@@ -151,7 +154,9 @@ class Scheduler {
 
   [[nodiscard]] const Job* find(JobId id) const;
   [[nodiscard]] std::vector<JobId> jobs_in_status(JobStatus status) const;
-  [[nodiscard]] std::size_t queued_count() const;
+  [[nodiscard]] std::size_t queued_count() const {
+    return ready_[0].size() + ready_[1].size() + backoff_.size();
+  }
   [[nodiscard]] std::size_t running_count() const { return running_; }
   [[nodiscard]] const std::vector<JobLogRecord>& log() const { return log_; }
 
@@ -202,7 +207,22 @@ class Scheduler {
     sim::EventHandle timeout;
   };
 
+  /// Dispatch order within a class index: higher priority first, then
+  /// lower JobId.
+  struct ReadyKey {
+    int priority;
+    JobId id;
+    friend bool operator<(const ReadyKey& a, const ReadyKey& b) {
+      return a.priority != b.priority ? a.priority > b.priority : a.id < b.id;
+    }
+  };
+
   void append_log(JobLogRecord::Kind kind, const Job& job);
+  /// Index a job that just became kQueued (submit or retry).
+  void enqueue(const Entry& entry);
+  /// Drop a kQueued job from its index (start or cancel).
+  void dequeue(const Entry& entry);
+  std::set<ReadyKey>& ready(JobClass c) { return ready_[static_cast<std::size_t>(c)]; }
   void pump();
   void start(Entry& entry);
   void finish(JobId id, JobStatus status);
@@ -211,13 +231,22 @@ class Scheduler {
   void handle_failure(JobId id);
   void schedule_idle_poll();
 
-  /// Highest-priority startable queued job (FIFO within a priority).
-  [[nodiscard]] std::optional<JobId> next_startable() const;
+  /// Highest-priority startable queued job (FIFO within a priority). Moves
+  /// retries whose backoff has passed into their class index first.
+  [[nodiscard]] std::optional<JobId> next_startable();
 
   sim::Simulation& sim_;
   Config config_;
   util::Logger& log_sink_;
+  /// Every job ever submitted, terminal ones included (the snapshot saves
+  /// them); dispatch reads only the indexes below.
   std::map<JobId, Entry> entries_;
+  /// Queued jobs startable now, indexed by JobClass.
+  std::array<std::set<ReadyKey>, 2> ready_;
+  /// Queued retries still in backoff, by (not_before, JobId).
+  std::set<std::pair<sim::SimTime, JobId>> backoff_;
+  /// Queued when-idle jobs, ready or in backoff (backoff_ mixes classes).
+  std::size_t queued_when_idle_{0};
   std::vector<JobLogRecord> log_;
   std::map<std::string, Executor> executors_;
   std::map<std::string, Rollback> rollbacks_;

@@ -83,10 +83,12 @@ std::vector<NodeId> ErmsPlacementPolicy::choose_targets(const Cluster& cluster, 
           ? std::min<std::size_t>(count, default_replication_ - current)
           : 0;
 
+  // The filter runs first: it is cheaper than eligible(), and both are pure,
+  // so the candidates (and the RNG draw) do not depend on the order.
   auto pick = [&](auto&& filter) -> bool {
     std::vector<NodeId> candidates;
     for (const NodeId n : cluster.nodes()) {
-      if (eligible(cluster, block, n, chosen) && filter(n)) {
+      if (filter(n) && eligible(cluster, block, n, chosen)) {
         candidates.push_back(n);
       }
     }

@@ -101,7 +101,9 @@ InvariantReport InvariantChecker::check(bool converged) const {
           add(v, "dead_location node=" + std::to_string(n.value()) + " block=" +
                      std::to_string(b.value()));
         }
-        if (!cluster_.node_has_block(n, b)) {
+        // The node's own set, not node_has_block(): that reads the location
+        // map, so it would compare the map with itself.
+        if (!cluster_.node(n).blocks.contains(b)) {
           add(v, "map_mismatch node=" + std::to_string(n.value()) + " block=" +
                      std::to_string(b.value()) + " (location without node replica)");
         }

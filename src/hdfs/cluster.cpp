@@ -435,8 +435,10 @@ std::vector<NodeId> Cluster::locations(BlockId block) const {
   return std::vector<NodeId>(locs.begin(), locs.end());
 }
 
+// Both read the block's location list (a few inline entries) rather than the
+// node's block hash set; add_replica/remove_replica keep the two in step.
 bool Cluster::node_has_block(NodeId node_id, BlockId block) const {
-  return nodes_[node_id.value()].blocks.contains(block);
+  return locations_view(block).contains(node_id);
 }
 
 std::size_t Cluster::file_blocks_on_node(FileId file, NodeId node_id) const {
@@ -445,12 +447,11 @@ std::size_t Cluster::file_blocks_on_node(FileId file, NodeId node_id) const {
     return 0;
   }
   std::size_t count = 0;
-  const DataNode& node = nodes_[node_id.value()];
   for (const BlockId b : info->blocks) {
-    count += node.blocks.contains(b) ? 1 : 0;
+    count += node_has_block(node_id, b) ? 1 : 0;
   }
   for (const BlockId b : info->parity_blocks) {
-    count += node.blocks.contains(b) ? 1 : 0;
+    count += node_has_block(node_id, b) ? 1 : 0;
   }
   return count;
 }

@@ -34,7 +34,10 @@ NetworkModel::NetworkModel(sim::Simulation& simulation, FabricSpec spec)
     links_.push_back(Link{spec_.rack_uplink_bw, spec_.rack_uplink_bw});
   }
   node_degradation_.assign(spec_.nodes.size(), 1.0);
+  hook_id_ = sim_.add_pre_read_hook([this] { settle(); });
 }
+
+NetworkModel::~NetworkModel() { sim_.remove_pre_read_hook(hook_id_); }
 
 FlowId NetworkModel::start_flow(std::size_t src, std::size_t dst, std::uint64_t bytes,
                                 FlowOptions options, CompletionFn on_done) {
@@ -86,7 +89,7 @@ FlowId NetworkModel::start_flow(std::size_t src, std::size_t dst, std::uint64_t 
 
   advance_progress();
   flows_.emplace(id, std::move(flow));
-  rebalance();
+  mark_dirty();
   if (metrics_ != nullptr) {
     metrics_->set(obs_ids_.active_flows, static_cast<double>(flows_.size()));
   }
@@ -101,7 +104,7 @@ void NetworkModel::cancel_flow(FlowId id) {
   advance_progress();
   it->second.deadline.cancel();
   flows_.erase(it);
-  rebalance();
+  mark_dirty();
   if (metrics_ != nullptr) {
     metrics_->add(obs_ids_.flows_cancelled);
     metrics_->set(obs_ids_.active_flows, static_cast<double>(flows_.size()));
@@ -137,7 +140,7 @@ void NetworkModel::abort_flow(FlowId id) {
   }
   advance_progress();
   auto [info, on_abort] = detach_aborted(id);
-  rebalance();
+  mark_dirty();
   if (metrics_ != nullptr) {
     metrics_->set(obs_ids_.active_flows, static_cast<double>(flows_.size()));
   }
@@ -166,7 +169,7 @@ std::vector<NetworkModel::AbortedFlow> NetworkModel::abort_flows_touching(std::s
     aborted.push_back(info);
     handlers.push_back(std::move(on_abort));
   }
-  rebalance();
+  mark_dirty();
   if (metrics_ != nullptr) {
     metrics_->set(obs_ids_.active_flows, static_cast<double>(flows_.size()));
   }
@@ -186,7 +189,7 @@ void NetworkModel::set_node_degradation(std::size_t node, double factor) {
   links_[disk_link(node)].capacity = links_[disk_link(node)].base * factor;
   links_[nic_out_link(node)].capacity = links_[nic_out_link(node)].base * factor;
   links_[nic_in_link(node)].capacity = links_[nic_in_link(node)].base * factor;
-  rebalance();
+  mark_dirty();
 }
 
 void NetworkModel::set_rack_degradation(std::size_t rack, double factor) {
@@ -195,14 +198,15 @@ void NetworkModel::set_rack_degradation(std::size_t rack, double factor) {
   advance_progress();
   links_[uplink_out_link(rack)].capacity = links_[uplink_out_link(rack)].base * factor;
   links_[uplink_in_link(rack)].capacity = links_[uplink_in_link(rack)].base * factor;
-  rebalance();
+  mark_dirty();
 }
 
 double NetworkModel::node_degradation(std::size_t node) const {
   return node < node_degradation_.size() ? node_degradation_[node] : 1.0;
 }
 
-double NetworkModel::flow_rate(FlowId id) const {
+double NetworkModel::flow_rate(FlowId id) {
+  settle();
   const auto it = flows_.find(id);
   return it == flows_.end() ? 0.0 : it->second.rate;
 }
@@ -210,6 +214,9 @@ double NetworkModel::flow_rate(FlowId id) const {
 void NetworkModel::advance_progress() {
   const sim::SimTime now = sim_.now();
   for (auto& [id, flow] : flows_) {
+    // Rates are stale while a pass is pending; that is harmless only because
+    // the clock cannot move before the pass runs.
+    assert(!dirty_ || flow.last_update == now);
     const double elapsed = (now - flow.last_update).seconds();
     if (elapsed > 0.0) {
       flow.remaining = std::max(0.0, flow.remaining - flow.rate * elapsed);
@@ -227,6 +234,19 @@ void NetworkModel::freeze(Flow& flow, double rate) {
   }
 }
 
+void NetworkModel::mark_dirty() {
+  dirty_ = true;
+  wakeup_.cancel();
+  wakeup_seq_ = sim_.reserve_seq();
+}
+
+void NetworkModel::settle() {
+  if (dirty_) {
+    dirty_ = false;
+    rebalance();
+  }
+}
+
 void NetworkModel::rebalance() {
   // Progressive filling (max-min fairness): repeatedly find the most
   // constrained link, freeze its flows at the equal share, remove that
@@ -236,6 +256,7 @@ void NetworkModel::rebalance() {
   //
   // The link scratch is sized on first use, so a fabric that never carries
   // a flow holds none.
+  ++rebalance_passes_;
   link_state_.resize(links_.size());
   busy_links_.clear();
   unfrozen_.clear();
@@ -314,10 +335,10 @@ void NetworkModel::rebalance() {
     link_state_[link].unfrozen_flows = 0;  // only the defensive break leaves any
   }
 
-  // Reschedule the wakeup at the earliest (completion time, FlowId). A
-  // drained flow completes now, which no other flow can beat, so the first
-  // one in FlowId order ends the search.
-  wakeup_.cancel();
+  // Schedule the wakeup at the earliest (completion time, FlowId), in the
+  // queue position the last change reserved. A drained flow completes now,
+  // which no other flow can beat, so the first one in FlowId order ends the
+  // search.
   const sim::SimTime now = sim_.now();
   const Flow* next = nullptr;
   sim::SimTime next_at;
@@ -342,7 +363,8 @@ void NetworkModel::rebalance() {
   }
   if (next != nullptr) {
     const FlowId fid = next->id;
-    wakeup_ = sim_.schedule_at(next_at, [this, fid] { complete_flow(fid); });
+    wakeup_ = sim_.schedule_at_reserved(next_at, wakeup_seq_,
+                                        [this, fid] { complete_flow(fid); });
   }
 }
 
@@ -355,7 +377,7 @@ void NetworkModel::complete_flow(FlowId id) {
   if (it->second.remaining > kEpsilonBytes) {
     // Spurious wake-up (rounding left more than kEpsilonBytes to go);
     // recompute rates and reschedule the wakeup.
-    rebalance();
+    mark_dirty();
     return;
   }
   it->second.deadline.cancel();
@@ -373,7 +395,7 @@ void NetworkModel::complete_flow(FlowId id) {
   }
   CompletionFn on_done = std::move(it->second.on_done);
   flows_.erase(it);
-  rebalance();
+  mark_dirty();
   if (metrics_ != nullptr) {
     metrics_->set(obs_ids_.active_flows, static_cast<double>(flows_.size()));
   }
@@ -382,9 +404,10 @@ void NetworkModel::complete_flow(FlowId id) {
   }
 }
 
-void NetworkModel::save_state(snapshot::Writer& w) const {
+void NetworkModel::save_state(snapshot::Writer& w) {
   // Flows hold completion closures; the snapshot layer only saves at
   // quiescence, when none are in flight.
+  settle();
   assert(flows_.empty());
   w.u64(links_.size());
   for (const Link& link : links_) {

@@ -38,8 +38,8 @@ struct FabricSpec {
 /// sharing. Every transfer (block read, replication pipeline hop) is a flow
 /// whose path claims capacity on: the source disk (optional), source NIC,
 /// rack uplinks when crossing racks, destination NIC, and destination disk
-/// (optional, for writes). Rates are recomputed by progressive filling each
-/// time a flow starts or finishes, over only the links some flow uses.
+/// (optional, for writes). Rates are recomputed by progressive filling after
+/// flows start or finish, over only the links some flow uses.
 ///
 /// Completions ride on one simulation event per fabric, the *wakeup*. Every
 /// rebalance computes each flow's completion time (now for a drained flow,
@@ -51,6 +51,19 @@ struct FabricSpec {
 /// latest rebalance and before those queued after it. A completion
 /// rebalances before it calls its handler, so an event the handler
 /// schedules for the same instant runs after the next flow's completion.
+///
+/// Rebalances are coalesced. A change (start, cancel, abort, completion,
+/// spurious wakeup, degradation) charges progress, marks the fabric dirty,
+/// cancels the wakeup and reserves the queue sequence number a pass would
+/// have given the new wakeup at that moment. One pass then runs per burst
+/// of changes: from a Simulation pre-read hook just before the queue is next
+/// read, or earlier when a rate is read (flow_rate, save_state). It
+/// schedules the wakeup with the last reserved number. Rates are a pure
+/// function of the flow set and the link capacities, and progress accrues
+/// only when the clock moves, which happens only after a queue read. So
+/// the rates, the completion times and the wakeup's (time, seq) equal those
+/// of a pass per change, and the contract above holds with "rebalance"
+/// meaning the change that reserved the wakeup's place.
 ///
 /// This is what makes replica count matter in the experiments: a single
 /// replica's node saturates its disk/NIC as readers pile on, while extra
@@ -88,7 +101,10 @@ class NetworkModel {
     std::uint64_t total_bytes{0};
   };
 
+  /// Registers the fabric's pre-read hook with `simulation`, which must
+  /// outlive the fabric.
   NetworkModel(sim::Simulation& simulation, FabricSpec spec);
+  ~NetworkModel();
 
   NetworkModel(const NetworkModel&) = delete;
   NetworkModel& operator=(const NetworkModel&) = delete;
@@ -125,8 +141,9 @@ class NetworkModel {
 
   [[nodiscard]] double node_degradation(std::size_t node) const;
 
-  /// Current rate (bytes/s) of an active flow; 0 if finished/unknown.
-  [[nodiscard]] double flow_rate(FlowId id) const;
+  /// Current rate (bytes/s) of an active flow; 0 if finished/unknown. Runs
+  /// a pending pass first.
+  [[nodiscard]] double flow_rate(FlowId id);
 
   [[nodiscard]] std::size_t active_flows() const { return flows_.size(); }
   [[nodiscard]] std::size_t node_count() const { return spec_.nodes.size(); }
@@ -137,6 +154,8 @@ class NetworkModel {
   [[nodiscard]] std::uint64_t inter_rack_bytes() const { return inter_rack_bytes_; }
   [[nodiscard]] std::uint64_t flows_aborted() const { return flows_aborted_; }
   [[nodiscard]] std::uint64_t bytes_aborted() const { return bytes_aborted_; }
+  /// Progressive-filling passes run so far (one per burst of changes).
+  [[nodiscard]] std::uint64_t rebalance_passes() const { return rebalance_passes_; }
 
   /// Attach (nullptr detaches) a metrics registry: flow start/complete
   /// counters, transferred bytes, an active-flow gauge and a flow-duration
@@ -146,9 +165,10 @@ class NetworkModel {
 
   /// Snapshot support (src/snapshot/): link capacities (degradation
   /// episodes straddle snapshots), the flow-id sequence and the aggregate
-  /// counters. Flows hold closures and must be drained first — save asserts
-  /// active_flows() == 0, load requires a same-spec fabric.
-  void save_state(snapshot::Writer& w) const;
+  /// counters. Flows hold closures and must be drained first — save runs a
+  /// pending pass and asserts active_flows() == 0, load requires a
+  /// same-spec fabric.
+  void save_state(snapshot::Writer& w);
   void load_state(snapshot::Reader& r);
 
  private:
@@ -194,8 +214,16 @@ class NetworkModel {
   /// Charge progress to every flow for time elapsed since its last update.
   void advance_progress();
 
-  /// Recompute all flow rates (progressive filling) and reschedule the
-  /// wakeup at the earliest completion.
+  /// Record a change to the flow set or the link capacities: mark the
+  /// fabric dirty, cancel the wakeup and reserve its queue position. Call
+  /// after advance_progress().
+  void mark_dirty();
+
+  /// Run the pending pass, if the fabric is dirty.
+  void settle();
+
+  /// Recompute all flow rates (progressive filling) and schedule the wakeup
+  /// at the earliest completion, in the last reserved queue position.
   void rebalance();
 
   /// Freeze `flow` at `rate`, charging that rate to every link it crosses.
@@ -205,7 +233,7 @@ class NetworkModel {
 
   /// Remove one flow, charging partial bytes to the abort counters. Returns
   /// the aborted-flow record and its (moved-out) abort handler; the caller
-  /// rebalances and invokes handlers once all victims are gone.
+  /// marks the fabric dirty and invokes handlers once all victims are gone.
   std::pair<AbortedFlow, AbortFn> detach_aborted(FlowId id);
 
   sim::Simulation& sim_;
@@ -220,6 +248,12 @@ class NetworkModel {
   std::map<FlowId, Flow> flows_;
   /// The one pending completion event (see the class comment).
   sim::EventHandle wakeup_;
+  /// Set by mark_dirty(), cleared by the pass. While set, rates are stale
+  /// and the wakeup is cancelled; `wakeup_seq_` holds its reserved place.
+  bool dirty_{false};
+  std::uint64_t wakeup_seq_{0};
+  std::uint64_t hook_id_{0};
+  std::uint64_t rebalance_passes_{0};
   /// Rebalance scratch, reused across calls. `link_state_` is indexed like
   /// links_ once sized and has every unfrozen_flows at 0 between calls;
   /// `busy_links_` holds the links some unfrozen flow crosses, `unfrozen_`

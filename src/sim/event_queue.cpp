@@ -5,9 +5,14 @@
 namespace erms::sim {
 
 EventHandle EventQueue::schedule(SimTime at, Callback fn) {
+  return schedule_reserved(at, next_seq_++, std::move(fn));
+}
+
+EventHandle EventQueue::schedule_reserved(SimTime at, std::uint64_t seq, Callback fn) {
+  assert(seq < next_seq_);
   auto cancelled = std::make_shared<bool>(false);
   EventHandle handle{cancelled};
-  queue_.push(Entry{at, next_seq_++, std::move(fn), std::move(cancelled)});
+  queue_.push(Entry{at, seq, std::move(fn), std::move(cancelled)});
   return handle;
 }
 
@@ -39,12 +44,6 @@ EventQueue::Fired EventQueue::pop() {
   Fired fired{top.time, std::move(top.fn)};
   queue_.pop();
   return fired;
-}
-
-void EventQueue::clear() {
-  while (!queue_.empty()) {
-    queue_.pop();
-  }
 }
 
 }  // namespace erms::sim

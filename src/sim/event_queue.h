@@ -47,6 +47,15 @@ class EventQueue {
   /// Schedule `fn` at absolute time `at`. Returns a cancellation handle.
   EventHandle schedule(SimTime at, Callback fn);
 
+  /// Take the sequence number the next schedule() would use. An event
+  /// scheduled later with schedule_reserved() and this number sorts among
+  /// same-time events as if it had been scheduled now. An unused
+  /// reservation leaves a gap in the numbering and changes no order.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedule `fn` at `at` with a number from reserve_seq().
+  EventHandle schedule_reserved(SimTime at, std::uint64_t seq, Callback fn);
+
   [[nodiscard]] bool empty();
 
   /// Time of the earliest pending event. Precondition: !empty().
@@ -58,8 +67,6 @@ class EventQueue {
     Callback fn;
   };
   Fired pop();
-
-  void clear();
 
  private:
   struct Entry {

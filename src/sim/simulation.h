@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/time.h"
@@ -23,6 +25,24 @@ class Simulation {
   EventHandle schedule_at(SimTime at, EventQueue::Callback fn) {
     return queue_.schedule(at < now_ ? now_ : at, std::move(fn));
   }
+
+  /// Reserve a queue position now for an event scheduled later (see
+  /// EventQueue::reserve_seq).
+  [[nodiscard]] std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
+
+  /// schedule_at() with a sequence number from reserve_seq().
+  EventHandle schedule_at_reserved(SimTime at, std::uint64_t seq,
+                                   EventQueue::Callback fn) {
+    return queue_.schedule_reserved(at < now_ ? now_ : at, seq, std::move(fn));
+  }
+
+  /// Register `fn` to run before every read of the event queue: before each
+  /// event is popped and before run_until() moves the clock to its
+  /// deadline. A component that defers work until the clock is about to
+  /// move (the fabric's rate pass) settles it here. Returns an id for
+  /// remove_pre_read_hook().
+  std::uint64_t add_pre_read_hook(std::function<void()> fn);
+  void remove_pre_read_hook(std::uint64_t id);
 
   /// Run one event. Returns false if the queue was empty.
   bool step();
@@ -52,8 +72,24 @@ class Simulation {
   }
 
  private:
+  struct Hook {
+    std::uint64_t id;
+    std::function<void()> fn;
+  };
+
+  void run_pre_read_hooks() {
+    for (const Hook& hook : hooks_) {
+      hook.fn();
+    }
+  }
+
+  /// Pop and run the earliest event. Returns false if the queue was empty.
+  bool fire_next();
+
   SimTime now_{};
   EventQueue queue_;
+  std::vector<Hook> hooks_;
+  std::uint64_t next_hook_id_{0};
   bool stopped_{false};
   std::uint64_t events_executed_{0};
 };

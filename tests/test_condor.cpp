@@ -222,7 +222,7 @@ TEST(JobLog, ReplayReconstructsStatuses) {
   const JobId b = f.sched.submit(job_ad("fail"), JobClass::kImmediate);
   const JobId c = f.sched.submit(job_ad("ok"), JobClass::kImmediate);
   f.sim.run();
-  const auto statuses = replay_log(f.sched.log());
+  const auto statuses = recover_statuses(f.sched.log());
   EXPECT_EQ(statuses.at(a), JobStatus::kCompleted);
   EXPECT_EQ(statuses.at(b), JobStatus::kRolledBack);
   EXPECT_EQ(statuses.at(c), JobStatus::kCompleted);

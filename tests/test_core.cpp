@@ -424,7 +424,7 @@ TEST(ErmsManager, JobLogRecordsActions) {
   erms.start();
   storm(f, "/hot", 2.0, 120.0);
   f.sim.run_until(sim::SimTime{sim::minutes(5.0).micros()});
-  const auto statuses = condor::replay_log(erms.scheduler().log());
+  const auto statuses = condor::recover_statuses(erms.scheduler().log());
   EXPECT_FALSE(statuses.empty());
   bool saw_increase = false;
   for (const auto& rec : erms.scheduler().log()) {

@@ -270,7 +270,7 @@ TEST(Soak, EverythingOnSurvivesAnHour) {
   EXPECT_EQ(runner.results().size(), trace.jobs.size());
   // The job log replays to exactly the live scheduler state (jobs caught
   // mid-flight at the cutoff are fine; inconsistency is not).
-  const auto statuses = condor::replay_log(erms.scheduler().log());
+  const auto statuses = condor::recover_statuses(erms.scheduler().log());
   EXPECT_FALSE(statuses.empty());
   std::size_t completed = 0;
   for (const auto& [id, status] : statuses) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -71,16 +72,70 @@ TEST(Network, InterRackCountsUplinkTraffic) {
   EXPECT_EQ(net.inter_rack_bytes(), 10'000'000u);
 }
 
-TEST(Network, TwoFlowsShareSourceDisk) {
+// n equal flows started in one event all read node 0's disk (80 MB/s), so
+// each gets B/n and all drain at n·S/B. The n starts cost one pass.
+class NetworkSharedDisk : public ::testing::TestWithParam<int> {};
+
+TEST_P(NetworkSharedDisk, EqualFlowsShareSourceDisk) {
+  const int n = GetParam();
+  constexpr std::uint64_t kBytes = 40'000'000;  // S
+  constexpr double kDiskBw = 80.0e6;            // B
   sim::Simulation sim;
   NetworkModel net{sim, small_fabric()};
-  int done = 0;
-  // Both flows read from node 0's disk (80 MB/s): each gets 40 MB/s.
-  net.start_flow(0, 1, 40'000'000, {}, [&](FlowId) { ++done; });
-  net.start_flow(0, 1, 40'000'000, {}, [&](FlowId) { ++done; });
+  std::vector<sim::SimTime> done;
+  for (int i = 0; i < n; ++i) {
+    net.start_flow(0, 1, kBytes, {}, [&](FlowId) { done.push_back(sim.now()); });
+  }
+  EXPECT_EQ(net.rebalance_passes(), 0u);
+  sim.run_until(sim::SimTime{0});
+  EXPECT_EQ(net.rebalance_passes(), 1u);
   sim.run();
-  EXPECT_EQ(done, 2);
-  EXPECT_NEAR(sim.now().seconds(), 1.0, 1e-5);
+  ASSERT_EQ(done.size(), static_cast<std::size_t>(n));
+  // The wakeup rounds the drain time up to the next microsecond, plus one.
+  const sim::SimTime drain{static_cast<std::int64_t>(n * (kBytes / kDiskBw) * 1e6)};
+  for (const sim::SimTime t : done) {
+    EXPECT_GE(t, drain);
+    EXPECT_LE(t, drain + sim::micros(2));
+  }
+  // One pass for the starts, then one per completion.
+  EXPECT_EQ(net.rebalance_passes(), static_cast<std::uint64_t>(n) + 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(Flows, NetworkSharedDisk, ::testing::Values(2, 7, 32),
+                         ::testing::PrintToStringParamName());
+
+TEST(Network, CompletionThatStartsNextFlowCostsOnePass) {
+  // The handler's start lands before the queue is read again, so the
+  // completion and the start share one pass.
+  sim::Simulation sim;
+  NetworkModel net{sim, small_fabric()};
+  std::uint64_t passes_in_handler = 0;
+  net.start_flow(0, 1, 80'000'000, {}, [&](FlowId) {
+    passes_in_handler = net.rebalance_passes();
+    net.start_flow(0, 1, 80'000'000, {}, nullptr);
+  });
+  sim.run();
+  EXPECT_EQ(passes_in_handler, 1u);  // the first start's
+  // First start, completion + second start, second completion.
+  EXPECT_EQ(net.rebalance_passes(), 3u);
+  EXPECT_NEAR(sim.now().seconds(), 2.0, 1e-5);
+}
+
+TEST(Network, FlowRateRightAfterStartIsPostChange) {
+  // No queue read between the starts and the reads: flow_rate() runs the
+  // pending pass itself and reports the max-min rates of the new flow set.
+  sim::Simulation sim;
+  NetworkModel net{sim, small_fabric()};
+  const FlowId a = net.start_flow(0, 1, 80'000'000, {}, nullptr);
+  EXPECT_DOUBLE_EQ(net.flow_rate(a), 80.0e6);
+  const FlowId b = net.start_flow(0, 1, 80'000'000, {}, nullptr);
+  EXPECT_DOUBLE_EQ(net.flow_rate(a), 40.0e6);
+  EXPECT_DOUBLE_EQ(net.flow_rate(b), 40.0e6);
+  net.cancel_flow(a);
+  EXPECT_DOUBLE_EQ(net.flow_rate(b), 80.0e6);
+  EXPECT_EQ(net.rebalance_passes(), 3u);
+  sim.run();
+  EXPECT_EQ(net.active_flows(), 0u);
 }
 
 TEST(Network, IndependentFlowsDoNotInterfere) {

@@ -2,6 +2,7 @@
 // checks, parameterized over seeds and configuration axes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <set>
@@ -402,7 +403,7 @@ TEST_P(SchedulerChaos, EveryJobTerminatesAndReplayAgrees) {
   }
   sim.run_until(sim::SimTime{sim::minutes(30.0).micros()});
 
-  const auto replayed = condor::replay_log(sched.log());
+  const auto replayed = condor::recover_statuses(sched.log());
   for (const condor::JobId id : jobs) {
     const condor::Job* job = sched.find(id);
     ASSERT_NE(job, nullptr);
@@ -413,6 +414,124 @@ TEST_P(SchedulerChaos, EveryJobTerminatesAndReplayAgrees) {
   }
   EXPECT_EQ(sched.running_count(), 0u);
   EXPECT_EQ(sched.queued_count(), 0u);
+}
+
+// Dispatch order against an oracle built from find() and the job log: every
+// start picks the first job by (priority descending, JobId ascending) among
+// those queued and past their backoff gate, immediate ones only while the
+// probe reports busy. Retries, cancels in the queue and in backoff, priority
+// ties and idle flips all occur.
+TEST_P(SchedulerChaos, DispatchFollowsPriorityThenJobId) {
+  sim::Simulation sim;
+  condor::Scheduler::Config cfg;
+  cfg.max_running = 3;
+  cfg.max_retries = 2;
+  cfg.retry_backoff = sim::seconds(2.0);
+  cfg.retry_backoff_cap = sim::seconds(3.0);
+  condor::Scheduler sched{sim, cfg};
+  sim::Rng rng{GetParam()};
+  bool idle = false;
+  sched.set_idle_probe([&] { return idle; });
+  // An odd number of flips, so deferred jobs can drain at the end.
+  for (int i = 1; i <= 13; ++i) {
+    sim.schedule_after(sim::seconds(15.0 * i), [&] { idle = !idle; });
+  }
+
+  std::vector<condor::JobId> jobs;
+  // A retried job's gate: the time of its latest kRetry record plus the
+  // capped doubling for the attempts made by then.
+  auto gate_of = [&](condor::JobId id) {
+    sim::SimTime gate;
+    std::uint32_t attempts = 0;
+    for (const condor::JobLogRecord& rec : sched.log()) {
+      if (rec.job != id) continue;
+      if (rec.kind == condor::JobLogRecord::Kind::kExecute) ++attempts;
+      if (rec.kind == condor::JobLogRecord::Kind::kRetry) {
+        sim::SimDuration backoff = cfg.retry_backoff;
+        for (std::uint32_t i = 1; i < attempts && backoff < cfg.retry_backoff_cap; ++i) {
+          backoff = backoff * 2;
+        }
+        gate = rec.time + std::min(backoff, cfg.retry_backoff_cap);
+      }
+    }
+    return gate;
+  };
+  auto first = [](const condor::Job& a, const condor::Job& b) {
+    return a.priority != b.priority ? a.priority > b.priority : a.id < b.id;
+  };
+  std::size_t starts = 0;
+  std::size_t backoff_cancels = 0;
+  sched.register_command(
+      "work",
+      [&](const classad::ClassAd&, std::function<void(bool)> done) {
+        // start() logs kExecute just before it calls the executor.
+        const condor::JobId started = sched.log().back().job;
+        const condor::Job& job = *sched.find(started);
+        ++starts;
+        EXPECT_LE(gate_of(started), sim.now()) << "job " << started << " in backoff";
+        if (!idle) {
+          EXPECT_EQ(job.sched_class, condor::JobClass::kImmediate) << "job " << started;
+        }
+        for (const condor::JobId other : jobs) {
+          const condor::Job& rival = *sched.find(other);
+          if (rival.status != condor::JobStatus::kQueued || gate_of(other) > sim.now() ||
+              (!idle && rival.sched_class == condor::JobClass::kWhenIdle)) {
+            continue;
+          }
+          EXPECT_TRUE(first(job, rival))
+              << "started " << started << " (priority " << job.priority << ") ahead of "
+              << other << " (priority " << rival.priority << ")";
+        }
+        const bool ok = !rng.chance(0.35);
+        const sim::SimDuration run_for = sim::seconds(rng.uniform_real(0.1, 4.0));
+        sim.schedule_after(run_for, [&, done, ok, started] {
+          done(ok);
+          // Some failed attempts are cancelled while they wait out backoff.
+          if (!ok && sched.find(started)->status == condor::JobStatus::kQueued &&
+              rng.chance(0.3)) {
+            sim.schedule_after(sim::seconds(1.0), [&, started] {
+              backoff_cancels += sched.cancel(started) ? 1 : 0;
+            });
+          }
+        });
+      },
+      [&sim](const classad::ClassAd&, std::function<void()> fin) {
+        sim.schedule_after(sim::seconds(0.5), std::move(fin));
+      });
+
+  // Waves of submissions with priorities 0-3 (many ties); some queued jobs
+  // are cancelled before they start.
+  for (int wave = 0; wave < 6; ++wave) {
+    sim.schedule_after(sim::seconds(20.0 * wave), [&] {
+      for (int i = 0; i < 12; ++i) {
+        classad::ClassAd ad;
+        ad.insert_string("Cmd", "work");
+        const auto cls = rng.chance(0.3) ? condor::JobClass::kWhenIdle
+                                         : condor::JobClass::kImmediate;
+        jobs.push_back(
+            sched.submit(std::move(ad), cls, static_cast<int>(rng.uniform_int(0, 3))));
+      }
+      const condor::JobId victim =
+          jobs[jobs.size() - 1 - static_cast<std::size_t>(rng.uniform_int(0, 11))];
+      EXPECT_TRUE(sched.cancel(victim));
+    });
+  }
+
+  const sim::SimTime end{sim::minutes(30.0).micros()};
+  while (sim.now() <= end && sim.step()) {
+    ASSERT_EQ(sched.queued_count(),
+              sched.jobs_in_status(condor::JobStatus::kQueued).size());
+  }
+  EXPECT_EQ(sched.queued_count(), 0u);
+  EXPECT_EQ(sched.running_count(), 0u);
+  EXPECT_GT(starts, 0u);
+  EXPECT_GT(sched.retries(), 0u);
+  EXPECT_GT(backoff_cancels, 0u);
+  EXPECT_FALSE(sched.jobs_in_status(condor::JobStatus::kCancelled).empty());
+  const auto replayed = condor::recover_statuses(sched.log());
+  for (const condor::JobId id : jobs) {
+    EXPECT_EQ(replayed.at(id), sched.find(id)->status);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SchedulerChaos, ::testing::Values(5u, 15u, 25u, 35u));

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -84,6 +86,93 @@ TEST(EventQueue, HandlePendingLifecycle) {
   q.pop().fn();
   EXPECT_FALSE(h.pending());
   EXPECT_NO_FATAL_FAILURE(h.cancel());  // cancel after fire is a no-op
+}
+
+TEST(EventQueue, ReservedSequenceKeepsItsPlace) {
+  // An event scheduled with a reserved number sorts among same-time events
+  // as if it had been scheduled when the number was reserved.
+  EventQueue q;
+  std::vector<std::string> fired;
+  const SimTime t{10};
+  q.schedule(t, [&] { fired.emplace_back("before"); });
+  const std::uint64_t r = q.reserve_seq();
+  q.schedule(t, [&] { fired.emplace_back("A"); });
+  q.schedule_reserved(t, r, [&] { fired.emplace_back("B"); });
+  while (!q.empty()) {
+    q.pop().fn();
+  }
+  EXPECT_EQ(fired, (std::vector<std::string>{"before", "B", "A"}));
+}
+
+TEST(EventQueue, UnusedReservationChangesNoOrder) {
+  EventQueue q;
+  std::vector<int> fired;
+  q.schedule(SimTime{10}, [&] { fired.push_back(1); });
+  (void)q.reserve_seq();
+  (void)q.reserve_seq();
+  q.schedule(SimTime{10}, [&] { fired.push_back(2); });
+  q.schedule(SimTime{5}, [&] { fired.push_back(0); });
+  while (!q.empty()) {
+    q.pop().fn();
+  }
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(Simulation, ScheduleAtReservedKeepsItsPlace) {
+  Simulation sim;
+  std::vector<int> fired;
+  const std::uint64_t r = sim.reserve_seq();
+  sim.schedule_after(micros(0), [&] { fired.push_back(2); });
+  sim.schedule_at_reserved(SimTime{0}, r, [&] { fired.push_back(1); });
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
+}
+
+TEST(Simulation, PreReadHookRunsBeforeEveryPop) {
+  Simulation sim;
+  std::vector<std::string> log;
+  const std::uint64_t id = sim.add_pre_read_hook([&] { log.emplace_back("hook"); });
+  sim.schedule_after(seconds(1.0), [&] { log.emplace_back("e1"); });
+  sim.schedule_after(seconds(2.0), [&] { log.emplace_back("e2"); });
+  sim.run();
+  // One read per pop plus the read that finds the queue empty.
+  EXPECT_EQ(log, (std::vector<std::string>{"hook", "e1", "hook", "e2", "hook"}));
+  sim.remove_pre_read_hook(id);
+  log.clear();
+  sim.schedule_after(seconds(1.0), [&] { log.emplace_back("e3"); });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"e3"}));
+}
+
+TEST(Simulation, PreReadHookRunsBeforeRunUntilClockJump) {
+  // On an otherwise empty queue, work a hook schedules for now runs at now,
+  // not at the deadline the clock would otherwise jump to.
+  Simulation sim;
+  bool armed = true;
+  SimTime ran_at{-1};
+  sim.add_pre_read_hook([&] {
+    if (armed) {
+      armed = false;
+      sim.schedule_at(sim.now(), [&] { ran_at = sim.now(); });
+    }
+  });
+  sim.run_until(SimTime{5'000'000});
+  EXPECT_EQ(ran_at, SimTime{0});
+  EXPECT_EQ(sim.now(), SimTime{5'000'000});
+}
+
+TEST(Simulation, PreReadHookRunsBeforeJumpAfterStop) {
+  Simulation sim;
+  int hook_runs_after_stop = 0;
+  bool stopped = false;
+  sim.add_pre_read_hook([&] { hook_runs_after_stop += stopped ? 1 : 0; });
+  sim.schedule_after(seconds(1.0), [&] {
+    stopped = true;
+    sim.stop();
+  });
+  sim.run_until(SimTime{5'000'000});
+  EXPECT_EQ(hook_runs_after_stop, 1);
+  EXPECT_EQ(sim.now(), SimTime{5'000'000});
 }
 
 TEST(Simulation, ClockAdvancesToEventTime) {

@@ -6,12 +6,18 @@
 // error and must leave the live world untouched.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "condor/scheduler.h"
 #include "core/erms.h"
 #include "fault/fault_plan.h"
 #include "fault/invariant_checker.h"
@@ -359,6 +365,227 @@ TEST_F(SnapshotFuzz, MissingFileIsIo) {
       snapshot::restore_world("/nonexistent/erms.snap", w.parts());
   ASSERT_TRUE(err.has_value());
   EXPECT_EQ(err->code, snapshot::ErrorCode::kIo);
+}
+
+// ---------- scheduler section decoding ----------
+
+/// A scheduler payload with one terminal job and one log record, written
+/// field by field in Scheduler::save_state's layout.
+std::string scheduler_section(std::uint8_t sched_class, std::int64_t priority,
+                              std::uint8_t log_kind) {
+  snapshot::Writer w;
+  w.begin_section(1);
+  w.u64(1);  // job table
+  w.u64(7);  // id
+  w.u64(0);  // empty job ad
+  w.u8(sched_class);
+  w.i64(priority);
+  w.u8(static_cast<std::uint8_t>(condor::JobStatus::kCompleted));
+  w.u32(1);  // attempts
+  w.i64(0);  // submitted, started, finished
+  w.i64(0);
+  w.i64(0);
+  w.u64(1);  // job log
+  w.u8(log_kind);
+  w.i64(0);
+  w.u64(7);
+  w.str("work");
+  w.u64(0);  // machine ads
+  w.u64(8);  // next id
+  w.u64(0);  // retries
+  w.u64(0);  // timeouts
+  w.end_section();
+  return w.finish();
+}
+
+/// Load `file` (one scheduler section) into `sched`; returns the reader.
+snapshot::Reader load_scheduler(const std::string& file, condor::Scheduler& sched,
+                                std::vector<snapshot::Section>& sections) {
+  EXPECT_FALSE(snapshot::parse_file(file, sections).has_value());
+  snapshot::Reader r(sections.at(0).data, sections.at(0).size);
+  sched.load_state(r);
+  return r;
+}
+
+std::string scheduler_bytes(const condor::Scheduler& sched) {
+  snapshot::Writer w;
+  w.begin_section(1);
+  sched.save_state(w);
+  w.end_section();
+  return w.finish();
+}
+
+constexpr auto kWhenIdle = static_cast<std::uint8_t>(condor::JobClass::kWhenIdle);
+constexpr auto kTerminateOk =
+    static_cast<std::uint8_t>(condor::JobLogRecord::Kind::kTerminateOk);
+constexpr auto kLastKind = static_cast<std::uint8_t>(condor::JobLogRecord::Kind::kRetry);
+
+TEST(SchedulerSnapshot, HandWrittenSectionLoads) {
+  sim::Simulation sim;
+  condor::Scheduler sched{sim};
+  std::vector<snapshot::Section> sections;
+  const std::string file = scheduler_section(kWhenIdle, -3, kTerminateOk);
+  const snapshot::Reader r = load_scheduler(file, sched, sections);
+  ASSERT_TRUE(r.ok()) << r.error().to_string();
+  const condor::Job* job = sched.find(condor::JobId{7});
+  ASSERT_NE(job, nullptr);
+  EXPECT_EQ(job->sched_class, condor::JobClass::kWhenIdle);
+  EXPECT_EQ(job->priority, -3);
+  ASSERT_EQ(sched.log().size(), 1u);
+  EXPECT_EQ(sched.log()[0].kind, condor::JobLogRecord::Kind::kTerminateOk);
+}
+
+TEST(SchedulerSnapshot, OutOfRangeValuesAreRejectedWithoutMutation) {
+  struct Case {
+    const char* what;
+    std::uint8_t sched_class;
+    std::int64_t priority;
+    std::uint8_t log_kind;
+  };
+  const Case cases[] = {
+      {"job class 7", 7, 0, kTerminateOk},
+      {"job class one past the last", kWhenIdle + 1, 0, kTerminateOk},
+      {"priority above int", 0, std::int64_t{std::numeric_limits<int>::max()} + 1,
+       kTerminateOk},
+      {"priority below int", 0, std::int64_t{std::numeric_limits<int>::min()} - 1,
+       kTerminateOk},
+      {"log kind one past the last", 0, 0, kLastKind + 1},
+      {"log kind 200", 0, 0, 200},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    sim::Simulation sim;
+    condor::Scheduler sched{sim};
+    sched.register_command(
+        "work", [&sim](const classad::ClassAd&, std::function<void(bool)> done) {
+          sim.schedule_after(sim::seconds(1.0), [done] { done(true); });
+        });
+    classad::ClassAd ad;
+    ad.insert_string("Cmd", "work");
+    sched.submit(std::move(ad), condor::JobClass::kImmediate, 1);
+    sim.run();
+    const std::string before = scheduler_bytes(sched);
+
+    std::vector<snapshot::Section> sections;
+    const std::string file = scheduler_section(c.sched_class, c.priority, c.log_kind);
+    const snapshot::Reader r = load_scheduler(file, sched, sections);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code, snapshot::ErrorCode::kBadSection) << r.error().to_string();
+    EXPECT_EQ(scheduler_bytes(sched), before) << "rejected load mutated the scheduler";
+  }
+}
+
+// ---------- cluster section decoding ----------
+
+/// The payload Cluster::save_state writes into its section, unframed.
+std::string cluster_payload(Cluster& cluster) {
+  snapshot::Writer w;
+  w.begin_section(1);
+  cluster.save_state(w);
+  w.end_section();
+  const std::string file = w.finish();
+  std::vector<snapshot::Section> sections;
+  EXPECT_FALSE(snapshot::parse_file(file, sections).has_value());
+  return std::string(sections.at(0).data, sections.at(0).size);
+}
+
+/// Cluster::save_state ends with the block-location table, then the
+/// corrupt-replica table (empty here: a u64 count) and eight u64 counters.
+constexpr std::size_t kClusterTailBytes = 8 + 8 * 8;
+
+TEST(ClusterSnapshot, SwappedReplicasAreAMapMismatch) {
+  // Two blocks trade one location each in a hand-edited cluster section.
+  // Every node keeps its replica count, so holdings_mismatch cannot see
+  // the divergence; only the per-replica map_mismatch check can.
+  sim::Simulation sim;
+  const Topology topo = Topology::uniform(2, 3);
+  const ClusterConfig cfg;
+  Cluster donor(sim, topo, cfg);
+  const std::optional<hdfs::FileId> file = donor.populate_file("/swap/a", 4 * cfg.block_size);
+  ASSERT_TRUE(file.has_value());
+  const std::vector<hdfs::BlockId> blocks = donor.metadata().find(*file)->blocks;
+
+  // Blocks b0, b1 and nodes x (holds b0, not b1) and z (holds b1, not b0).
+  const auto holds = [&](hdfs::BlockId b, NodeId n) {
+    const std::vector<NodeId> locs = donor.locations(b);
+    return std::find(locs.begin(), locs.end(), n) != locs.end();
+  };
+  std::optional<std::pair<hdfs::BlockId, NodeId>> first;
+  std::optional<std::pair<hdfs::BlockId, NodeId>> second;
+  for (std::size_t i = 0; i < blocks.size() && !second; ++i) {
+    for (std::size_t j = i + 1; j < blocks.size() && !second; ++j) {
+      for (const NodeId x : donor.locations(blocks[i])) {
+        for (const NodeId z : donor.locations(blocks[j])) {
+          if (!second && !holds(blocks[j], x) && !holds(blocks[i], z)) {
+            first.emplace(blocks[i], x);
+            second.emplace(blocks[j], z);
+          }
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(second.has_value()) << "no two blocks with distinct replicas";
+  const auto [b0, x] = *first;
+  const auto [b1, z] = *second;
+
+  // The table is a u64 block count, then per BlockId a u32 replica count
+  // and that many u32 node ids.
+  std::uint64_t nloc = 0;
+  for (const hdfs::BlockId b : blocks) nloc = std::max<std::uint64_t>(nloc, b.value() + 1);
+  std::vector<std::size_t> list_at(nloc);
+  std::size_t table_bytes = 8;
+  for (std::uint64_t v = 0; v < nloc; ++v) {
+    list_at[v] = table_bytes + 4;
+    table_bytes += 4 + 4 * donor.locations(hdfs::BlockId{v}).size();
+  }
+  const std::string clean = cluster_payload(donor);
+  ASSERT_GT(clean.size(), kClusterTailBytes + table_bytes);
+  const std::size_t table = clean.size() - kClusterTailBytes - table_bytes;
+  std::uint64_t stored_nloc = 0;
+  std::memcpy(&stored_nloc, clean.data() + table, sizeof stored_nloc);
+  ASSERT_EQ(stored_nloc, nloc) << "Cluster::save_state layout changed";
+
+  std::string swapped = clean;
+  const auto replace = [&](hdfs::BlockId b, NodeId was, NodeId now) {
+    const std::vector<NodeId> locs = donor.locations(b);
+    const auto slot = static_cast<std::size_t>(std::find(locs.begin(), locs.end(), was) -
+                                               locs.begin());
+    const std::uint32_t id = now.value();
+    std::memcpy(swapped.data() + table + list_at[b.value()] + 4 * slot, &id, sizeof id);
+  };
+  replace(b0, x, z);
+  replace(b1, z, x);
+
+  const auto check_loaded = [&](const std::string& payload) {
+    snapshot::Writer w;
+    w.begin_section(1);
+    w.raw(payload.data(), payload.size());
+    w.end_section();
+    const std::string bytes = w.finish();
+    std::vector<snapshot::Section> sections;
+    EXPECT_FALSE(snapshot::parse_file(bytes, sections).has_value());
+    snapshot::Reader r(sections.at(0).data, sections.at(0).size);
+    sim::Simulation restored_sim;
+    Cluster restored(restored_sim, topo, cfg);
+    restored.load_state(r);
+    EXPECT_TRUE(r.ok()) << r.error().to_string();
+    return fault::InvariantChecker{restored}.check();
+  };
+
+  const fault::InvariantReport before = check_loaded(clean);
+  EXPECT_TRUE(before.ok) << before.text;
+
+  const fault::InvariantReport after = check_loaded(swapped);
+  EXPECT_FALSE(after.ok);
+  const auto mismatch = [](NodeId n, hdfs::BlockId b) {
+    return "map_mismatch node=" + std::to_string(n.value()) + " block=" +
+           std::to_string(b.value()) + " (location without node replica)";
+  };
+  std::vector<std::string> expected = {mismatch(z, b0), mismatch(x, b1)};
+  std::sort(expected.begin(), expected.end());
+  std::vector<std::string> got = after.violations;
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, expected) << after.text;
 }
 
 }  // namespace
