@@ -4,11 +4,14 @@
     python3 scripts/check_bench_digests.py [--record]
 
 Runs the ermsbench workloads that drive the whole control loop
-(lifecycle_skewed and writes_failures) at the default and the held-out
-seed for one second each, and compares the outcome digests of inputs 0-2
-with scripts/bench_digests.json. A change meant to keep outcomes
-byte-identical must pass as is. A change that alters outcomes on purpose
-re-records the file with --record and says so in CHANGES.md.
+(lifecycle_skewed and writes_failures) and the metadata plane
+(replay_uniform: feed, CEP windows, judge sweep and a snapshot round trip)
+at the default and the held-out seed for one second each, and compares the
+outcome digests of inputs 0-2 with scripts/bench_digests.json. A change
+meant to keep outcomes byte-identical must pass as is. A change that alters
+outcomes on purpose re-records the file with --record and says so in
+CHANGES.md. replay_uniform's digest folds in the snapshot's byte count, so
+a snapshot format change re-records it too.
 
 Exits 0 when every digest matches (or after --record), 1 on a mismatch,
 2 when a run fails.
@@ -23,7 +26,7 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIGESTS = os.path.join(ROOT, "scripts", "bench_digests.json")
-WORKLOADS = ("lifecycle_skewed", "writes_failures")
+WORKLOADS = ("lifecycle_skewed", "writes_failures", "replay_uniform")
 SEEDS = (1, 2012)  # ermsbench/run.py's DEFAULT_SEED and HELD_OUT_SEED
 INPUTS = 3  # a run has at least three plain episodes
 EPISODE = re.compile(r"^episode \d+ plain: input (\d+),.* digest ([0-9a-f]{16})$", re.M)

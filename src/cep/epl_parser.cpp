@@ -211,6 +211,12 @@ Query parse_epl(std::string_view text) {
         }
         query.group_by.push_back(attr);
       }
+      if (query.group_by.size() > kMaxGroupBy) {
+        throw classad::ParseError("GROUP BY lists " + std::to_string(query.group_by.size()) +
+                                      " attributes; at most " + std::to_string(kMaxGroupBy) +
+                                      " are supported",
+                                  0);
+      }
     } else if (clause.keyword == "window") {
       query.window = parse_window(clause.body);
       saw_window = true;

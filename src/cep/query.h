@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,10 @@ struct Aggregate {
   std::string attr;  // empty for count(*)
   std::string alias;
 };
+
+/// GROUP BY lists are capped at the width of the engine's per-group string
+/// mask (one bit per column).
+inline constexpr std::size_t kMaxGroupBy = 32;
 
 /// A continuous query over one stream — the structured form of
 ///   SELECT <aggregates> FROM <stream> [WHERE <expr>]

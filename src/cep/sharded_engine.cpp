@@ -261,13 +261,24 @@ std::vector<ResultRow> ShardedEngine::snapshot(QueryId id) {
   return out;
 }
 
-void ShardedEngine::for_each_group_count(QueryId id, const GroupCountVisitor& fn,
-                                         GroupOrder order) {
+void ShardedEngine::for_each_group(QueryId id, const GroupVisitor& fn, GroupOrder order) {
   // With kSorted, merged_raw sums per-shard counts and sorts by joined key,
   // so the visit order and counts are byte-identical to the scalar
-  // engine's. kUnordered skips the sort and visits in merge order.
+  // engine's. kUnordered skips the sort and visits in merge order. Shards
+  // intern separately, so each key is rebuilt from its rendered values under
+  // the scalar engine's canonical rule; string columns carry no id.
+  std::vector<std::uint64_t> words;
   for (const Engine::RawGroup& g : merged_raw(id, order)) {
-    fn(g.key_values, g.count);
+    words.assign(g.key_values.size(), 0);
+    std::uint32_t mask = 0;
+    for (std::size_t i = 0; i < g.key_values.size(); ++i) {
+      if (const auto v = canonical_int(g.key_values[i])) {
+        words[i] = static_cast<std::uint64_t>(*v);
+      } else {
+        mask |= 1U << i;
+      }
+    }
+    fn(GroupKeyView{words.data(), mask, words.size()}, g.count);
   }
 }
 
@@ -278,10 +289,9 @@ std::optional<ResultRow> ShardedEngine::group_row(QueryId id,
   if (q == nullptr) {
     return std::nullopt;
   }
-  const std::string joined = Engine::join_key(key);
   std::optional<Engine::RawGroup> merged;
   for (auto& shard : shards_) {
-    std::optional<Engine::RawGroup> g = shard->raw_group(id, joined);
+    std::optional<Engine::RawGroup> g = shard->raw_group(id, key);
     if (!g) {
       continue;
     }

@@ -44,7 +44,6 @@ class ShardedEngine final : public EngineBase {
   ~ShardedEngine() override;
 
   using EngineBase::register_query;
-  using EngineBase::for_each_group_count;
   QueryId register_query(Query query, Listener listener) override;
   bool remove_query(QueryId id) override;
   void push(const Event& event) override;
@@ -54,8 +53,7 @@ class ShardedEngine final : public EngineBase {
   [[nodiscard]] std::vector<ResultRow> snapshot(QueryId id) override;
   [[nodiscard]] std::optional<ResultRow> group_row(
       QueryId id, const std::vector<std::string>& key) override;
-  void for_each_group_count(QueryId id, const GroupCountVisitor& fn,
-                            GroupOrder order) override;
+  void for_each_group(QueryId id, const GroupVisitor& fn, GroupOrder order) override;
   [[nodiscard]] std::size_t query_count() const override;
   [[nodiscard]] std::uint64_t events_processed() const override { return events_; }
   [[nodiscard]] SymbolTable& attr_symbols() override { return *attrs_; }

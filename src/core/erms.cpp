@@ -506,19 +506,9 @@ void ErmsManager::classify_range(SweepShard& shard, std::size_t begin, std::size
                                  sim::SimTime now) {
   shard.decisions.clear();
   shard.tracked_delta = 0;
-  // Merge-walk: scratch_blocks_ is sorted by fid, so position once at the
-  // range's first entry and advance monotonically.
-  std::size_t bi = static_cast<std::size_t>(
-      std::lower_bound(scratch_blocks_.begin(), scratch_blocks_.end(), begin,
-                       [](const std::pair<std::uint32_t, std::uint64_t>& a,
-                          std::size_t v) { return a.first < v; }) -
-      scratch_blocks_.begin());
   for (std::size_t id = begin; id < end; ++id) {
-    shard.fobs.block_accesses.clear();
-    while (bi < scratch_blocks_.size() && scratch_blocks_[bi].first == id) {
-      shard.fobs.block_accesses.push_back(scratch_blocks_[bi].second);
-      ++bi;
-    }
+    shard.fobs.block_accesses.assign(scratch_block_reads_.begin() + scratch_block_start_[id],
+                                     scratch_block_reads_.begin() + scratch_block_start_[id + 1]);
     const hdfs::FileInfo* info =
         cluster_.metadata().find(hdfs::FileId{static_cast<hdfs::FileId::rep_type>(id)});
     if (info != nullptr) {
@@ -848,19 +838,29 @@ void ErmsManager::evaluate() {
         }
       },
       cep::GroupOrder::kUnordered);
+  // Regroup the (fid, reads) block groups by fid in CSR form: count per
+  // fid, prefix-sum to each fid's end, then scatter in reverse, which keeps
+  // each file's blocks in visit order. A file's per-block order only feeds
+  // the judge's order-insensitive block rules (max and intense-block
+  // fraction). Afterwards fid's reads are scratch_block_reads_
+  // [scratch_block_start_[fid], scratch_block_start_[fid + 1]).
   scratch_blocks_.clear();
+  scratch_block_start_.assign(bound + 1, 0);
   feed_.for_each_block_access(
       [&](hdfs::FileId fid, std::int64_t /*blk*/, std::uint64_t n) {
         if (fid.value() < bound) {
           scratch_blocks_.emplace_back(fid.value(), n);
+          ++scratch_block_start_[fid.value()];
         }
       },
       cep::GroupOrder::kUnordered);
-  // Sort by fid for the classify sweep's merge walk. A file's per-block
-  // order is visitation order, which only feeds the judge's order-
-  // insensitive block rules (max and intense-block fraction).
-  std::stable_sort(scratch_blocks_.begin(), scratch_blocks_.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (std::size_t id = 1; id <= bound; ++id) {
+    scratch_block_start_[id] += scratch_block_start_[id - 1];
+  }
+  scratch_block_reads_.resize(scratch_blocks_.size());
+  for (auto it = scratch_blocks_.rbegin(); it != scratch_blocks_.rend(); ++it) {
+    scratch_block_reads_[--scratch_block_start_[it->first]] = it->second;
+  }
 
   // Classify phase: disjoint id ranges, each writing only own-range dense
   // state and its shard's decision list, against a frozen in_flight view.

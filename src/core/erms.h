@@ -306,9 +306,12 @@ class ErmsManager {
   std::size_t tracked_files_{0};           // nonzero entries in types_
   std::size_t in_flight_count_{0};         // nonzero entries in in_flight_
   // evaluate() scratch, reused across sweeps so the steady state allocates
-  // nothing: windowed open counts per fid, and (fid, reads) pairs per block.
+  // nothing: windowed open counts per fid, (fid, reads) pairs per block in
+  // visit order, and the same reads regrouped by fid (CSR offsets + reads).
   std::vector<std::uint64_t> scratch_accesses_;
   std::vector<std::pair<std::uint32_t, std::uint64_t>> scratch_blocks_;
+  std::vector<std::uint32_t> scratch_block_start_;
+  std::vector<std::uint64_t> scratch_block_reads_;
   std::vector<FileNodeAccess> scratch_file_nodes_;
   std::vector<hdfs::FileId> scratch_winners_;
   std::vector<SweepShard> sweep_shards_;

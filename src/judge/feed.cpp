@@ -1,7 +1,7 @@
 #include "judge/feed.h"
 
 #include <algorithm>
-#include <charconv>
+#include <limits>
 #include <string>
 
 #include "cep/epl_parser.h"
@@ -15,18 +15,17 @@ std::string window_clause(sim::SimDuration window) {
   return " WINDOW TIME " + std::to_string(window.seconds()) + "s";
 }
 
-/// Group keys render ints as decimal strings; parse one back to a FileId.
-/// Returns FileId{0} (never a valid id) for empty/garbage keys.
-hdfs::FileId parse_fid(const std::string& key) {
-  hdfs::FileId::rep_type v = 0;
-  std::from_chars(key.data(), key.data() + key.size(), v);
-  return hdfs::FileId{v};
-}
-
-std::int64_t parse_i64(const std::string& key) {
-  std::int64_t v = 0;
-  std::from_chars(key.data(), key.data() + key.size(), v);
-  return v;
+/// The fid column of a group key as a FileId, or FileId{0} (never a valid
+/// id) when it holds no int in FileId's range.
+hdfs::FileId fid_at(const cep::GroupKeyView& key) {
+  if (!key.is_int(0)) {
+    return hdfs::FileId{0};
+  }
+  const std::int64_t v = key.int_at(0);
+  if (v <= 0 || v > std::numeric_limits<hdfs::FileId::rep_type>::max()) {
+    return hdfs::FileId{0};
+  }
+  return hdfs::FileId{static_cast<hdfs::FileId::rep_type>(v)};
 }
 
 }  // namespace
@@ -34,8 +33,8 @@ std::int64_t parse_i64(const std::string& key) {
 AccessStatsFeed::AccessStatsFeed(cep::EngineBase& engine, sim::SimDuration window)
     : engine_(engine),
       // The judge's standing queries, written in the engine's EPL. All
-      // grouping is by the interned fid — a short decimal key — instead of
-      // the path string.
+      // grouping is by the interned fid — one int key word — instead of the
+      // path string.
       file_query_(engine.register_query(cep::parse_epl(
           "SELECT count(*) AS n FROM audit WHERE cmd == \"open\" GROUP BY fid" +
           window_clause(window)))),
@@ -102,10 +101,10 @@ std::uint64_t AccessStatsFeed::file_accesses(hdfs::FileId file) const {
 void AccessStatsFeed::for_each_file_access(
     const std::function<void(hdfs::FileId, std::uint64_t)>& fn,
     cep::GroupOrder order) const {
-  engine_.for_each_group_count(
+  engine_.for_each_group(
       file_query_,
-      [&](const std::vector<std::string>& key, std::uint64_t n) {
-        const hdfs::FileId fid = parse_fid(key[0]);
+      [&](const cep::GroupKeyView& key, std::uint64_t n) {
+        const hdfs::FileId fid = fid_at(key);
         if (fid.value() != 0) {
           fn(fid, n);
         }
@@ -116,12 +115,12 @@ void AccessStatsFeed::for_each_file_access(
 void AccessStatsFeed::for_each_block_access(
     const std::function<void(hdfs::FileId, std::int64_t, std::uint64_t)>& fn,
     cep::GroupOrder order) const {
-  engine_.for_each_group_count(
+  engine_.for_each_group(
       block_query_,
-      [&](const std::vector<std::string>& key, std::uint64_t n) {
-        const hdfs::FileId fid = parse_fid(key[0]);
-        if (fid.value() != 0 && !key[1].empty()) {
-          fn(fid, parse_i64(key[1]), n);
+      [&](const cep::GroupKeyView& key, std::uint64_t n) {
+        const hdfs::FileId fid = fid_at(key);
+        if (fid.value() != 0 && key.is_int(1)) {
+          fn(fid, key.int_at(1), n);
         }
       },
       order);
@@ -129,39 +128,44 @@ void AccessStatsFeed::for_each_block_access(
 
 void AccessStatsFeed::for_each_node_access(
     const std::function<void(std::int64_t, std::uint64_t)>& fn) const {
-  engine_.for_each_group_count(
-      node_query_, [&](const std::vector<std::string>& key, std::uint64_t n) {
-        if (!key[0].empty()) {
-          fn(parse_i64(key[0]), n);
+  engine_.for_each_group(
+      node_query_,
+      [&](const cep::GroupKeyView& key, std::uint64_t n) {
+        if (key.is_int(0)) {
+          fn(key.int_at(0), n);
         }
-      });
+      },
+      cep::GroupOrder::kSorted);
 }
 
 void AccessStatsFeed::for_each_file_node_access(
     const std::function<void(hdfs::FileId, std::int64_t, std::uint64_t)>& fn) const {
-  engine_.for_each_group_count(
-      file_node_query_, [&](const std::vector<std::string>& key, std::uint64_t n) {
-        const hdfs::FileId fid = parse_fid(key[0]);
-        if (fid.value() != 0 && !key[1].empty()) {
-          fn(fid, parse_i64(key[1]), n);
+  engine_.for_each_group(
+      file_node_query_,
+      [&](const cep::GroupKeyView& key, std::uint64_t n) {
+        const hdfs::FileId fid = fid_at(key);
+        if (fid.value() != 0 && key.is_int(1)) {
+          fn(fid, key.int_at(1), n);
         }
-      });
+      },
+      cep::GroupOrder::kSorted);
 }
 
 void AccessStatsFeed::for_each_file_access_on_node(
     std::int64_t datanode,
     const std::function<void(hdfs::FileId, std::uint64_t)>& fn) const {
-  const std::string want = std::to_string(datanode);
-  engine_.for_each_group_count(
-      file_node_query_, [&](const std::vector<std::string>& key, std::uint64_t n) {
-        if (key[1] != want) {
+  engine_.for_each_group(
+      file_node_query_,
+      [&](const cep::GroupKeyView& key, std::uint64_t n) {
+        if (!key.is_int(1) || key.int_at(1) != datanode) {
           return;
         }
-        const hdfs::FileId fid = parse_fid(key[0]);
+        const hdfs::FileId fid = fid_at(key);
         if (fid.value() != 0) {
           fn(fid, n);
         }
-      });
+      },
+      cep::GroupOrder::kSorted);
 }
 
 sim::SimTime AccessStatsFeed::last_access(hdfs::FileId file) const {

@@ -23,9 +23,9 @@ namespace erms::judge {
 /// engine" pipeline assembled (§III.C).
 ///
 /// Grouping is by the audit records' interned `fid` (dense 32-bit FileId),
-/// not the path string, so group keys stay short whatever the path length,
-/// and readers iterate the engine's group state via callbacks instead of
-/// materialising a fresh map per judge sweep.
+/// not the path string, so every group key is ints only (fid, blk, dn), and
+/// readers take those ints straight from the engine's typed group keys via
+/// callbacks instead of materialising a fresh map per judge sweep.
 class AccessStatsFeed {
  public:
   /// Works against any EngineBase — the scalar Engine or a ShardedEngine

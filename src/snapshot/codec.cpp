@@ -29,25 +29,48 @@ std::string SnapshotError::to_string() const {
 }
 
 namespace {
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: t[0] is the bytewise table; t[k][b] is the CRC
+/// contribution of byte b followed by k zero bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) != 0 ? 0xEDB88320U ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    for (std::size_t k = 1; k < t.size(); ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFU];
+    }
+  }
+  return t;
+}
+
+std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
 }
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t crc = 0xFFFFFFFFU;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ p[i]) & 0xFFU] ^ (crc >> 8);
+  // Eight bytes per step: the running CRC folds into the first four, and
+  // each byte's table accounts for the bytes still to come after it.
+  for (; size >= 8; size -= 8, p += 8) {
+    const std::uint32_t lo = load_le32(p) ^ crc;
+    const std::uint32_t hi = load_le32(p + 4);
+    crc = t[7][lo & 0xFFU] ^ t[6][(lo >> 8) & 0xFFU] ^ t[5][(lo >> 16) & 0xFFU] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFFU] ^ t[2][(hi >> 8) & 0xFFU] ^
+          t[1][(hi >> 16) & 0xFFU] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; --size, ++p) {
+    crc = t[0][(crc ^ *p) & 0xFFU] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFU;
 }

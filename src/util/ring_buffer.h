@@ -31,6 +31,9 @@ class RingBuffer {
     --count_;
   }
 
+  [[nodiscard]] const T& back() const { return (*this)[count_ - 1]; }
+  void pop_back() { --count_; }
+
   /// i-th element counted from the front (0 = front()).
   [[nodiscard]] const T& operator[](std::size_t i) const {
     return buf_[(head_ + i) & (buf_.size() - 1)];

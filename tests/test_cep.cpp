@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "cep/engine.h"
 #include "cep/epl_parser.h"
 #include "cep/pattern.h"
@@ -278,6 +281,40 @@ TEST(Epl, RejectsMalformed) {
   EXPECT_THROW(parse_epl("SELECT count(*) FROM s WINDOW LENGTH -3"), classad::ParseError);
   EXPECT_THROW(parse_epl("SELECT count(*) FROM s GROUP x WINDOW TIME 1s"),
                classad::ParseError);
+}
+
+TEST(Epl, GroupByIsCappedAtTheKeyMaskWidth) {
+  const auto group_by = [](std::size_t n) {
+    std::string out;
+    for (std::size_t i = 0; i < n; ++i) {
+      out += (i == 0 ? "a" : ", a") + std::to_string(i);
+    }
+    return out;
+  };
+  const std::string wide = "SELECT count(*) AS n FROM s GROUP BY " + group_by(kMaxGroupBy) +
+                           " WINDOW TIME 10s";
+  EXPECT_THROW(parse_epl("SELECT count(*) FROM s GROUP BY " + group_by(kMaxGroupBy + 1) +
+                         " WINDOW TIME 10s"),
+               classad::ParseError);
+
+  // The widest accepted key works end to end, string columns included.
+  Engine engine;
+  const QueryId id = engine.register_query(parse_epl(wide));
+  Event e = ev(1.0, "s");
+  for (std::size_t i = 0; i < kMaxGroupBy; ++i) {
+    e.with_string("a" + std::to_string(i), i % 2 == 0 ? "x" : std::to_string(i));
+  }
+  engine.push(e);
+  engine.push(e);
+  const auto rows = engine.snapshot(id);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].values.get_int("n"), 2);
+  EXPECT_EQ(rows[0].values.get_string("a31"), "31");
+
+  Query too_wide = parse_epl(wide);
+  too_wide.group_by.push_back("extra");
+  EXPECT_THROW(engine.register_query(std::move(too_wide)), std::invalid_argument);
+  EXPECT_EQ(engine.query_count(), 1u);
 }
 
 // ---------- pattern detector ----------

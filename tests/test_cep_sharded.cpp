@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <deque>
+#include <limits>
 #include <map>
 #include <random>
 #include <string>
@@ -261,6 +264,229 @@ TEST(CepOracle, ScalarEngineMatchesBruteForce) {
         EXPECT_FALSE(row.values.get_real("mx").has_value()) << *src;
       }
     }
+  }
+}
+
+/// One GROUP BY value of the canonical-key property test: its kind and how
+/// the rule that keys used to follow rendered it (absent as "", ints via
+/// to_chars, reals via %g, bools as true/false, strings as themselves).
+struct KeyValue {
+  enum class Kind { kAbsent, kInt, kReal, kBool, kString } kind{Kind::kAbsent};
+  std::int64_t i{0};
+  double r{0.0};
+  bool b{false};
+  std::string s;
+
+  [[nodiscard]] std::string rendered() const {
+    switch (kind) {
+      case Kind::kAbsent:
+        return "";
+      case Kind::kInt:
+        return std::to_string(i);
+      case Kind::kReal: {
+        char buf[48];
+        const int n = std::snprintf(buf, sizeof buf, "%g", r);
+        return std::string(buf, static_cast<std::size_t>(n));
+      }
+      case Kind::kBool:
+        return b ? "true" : "false";
+      case Kind::kString:
+        return s;
+    }
+    return "";
+  }
+};
+
+KeyValue random_key_value(std::mt19937& rng) {
+  static const std::int64_t kInts[] = {7, -7, 0, 5, std::numeric_limits<std::int64_t>::max(),
+                                       std::numeric_limits<std::int64_t>::min()};
+  static const double kReals[] = {7.0, 5.0, 0.5, -0.0, 0.0, 1e20, -7.0};
+  static const char* const kStrings[] = {
+      "7",     "07", "+7", "-0",    "-7",   "7.0", "9223372036854775808",
+      "-9223372036854775808", "9223372036854775807", "", "true", "false", "0", "x", "5"};
+  KeyValue v;
+  switch (rng() % 5) {
+    case 0:
+      break;  // absent
+    case 1:
+      v.kind = KeyValue::Kind::kInt;
+      v.i = kInts[rng() % std::size(kInts)];
+      break;
+    case 2:
+      v.kind = KeyValue::Kind::kReal;
+      v.r = kReals[rng() % std::size(kReals)];
+      break;
+    case 3:
+      v.kind = KeyValue::Kind::kBool;
+      v.b = rng() % 2 == 0;
+      break;
+    default:
+      v.kind = KeyValue::Kind::kString;
+      v.s = kStrings[rng() % std::size(kStrings)];
+      break;
+  }
+  return v;
+}
+
+std::string join_rendered(const std::vector<std::string>& parts) {
+  std::string out;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    out += (i == 0 ? "" : "\x1f") + parts[i];
+  }
+  return out;
+}
+
+/// Typed group keys keep the identity rendered string keys had: two events
+/// share a group iff their GROUP BY values render to the same joined text.
+/// The events mix ints, reals, bools, absent values and strings that are or
+/// almost are int spellings, over widths 1-3 and time and length windows,
+/// pushed in random batch sizes so the pipelined path runs too. At every
+/// checkpoint the snapshot rows, group_row lookups and typed visits must
+/// equal a brute-force oracle that groups the live window by the joined
+/// rendered key; after a full drain no string stays interned.
+TEST(CepOracle, TypedKeysGroupLikeRenderedKeys) {
+  const char* const kCols[] = {"a", "b", "c"};
+  for (std::size_t width = 1; width <= 3; ++width) {
+    for (const bool time_window : {true, false}) {
+      SCOPED_TRACE("width " + std::to_string(width) + (time_window ? " time" : " length"));
+      std::string epl = "SELECT count(*) AS n FROM audit GROUP BY ";
+      for (std::size_t c = 0; c < width; ++c) {
+        epl += std::string(c == 0 ? "" : ", ") + kCols[c];
+      }
+      epl += time_window ? " WINDOW TIME 5s" : " WINDOW LENGTH 60";
+      Engine engine;
+      const QueryId id = engine.register_query(parse_epl(epl));
+      const Slot stream = engine.stream_symbols().intern("audit");
+      std::vector<Slot> slots;
+      for (std::size_t c = 0; c < width; ++c) {
+        slots.push_back(engine.attr_symbols().intern(kCols[c]));
+      }
+
+      std::mt19937 rng{static_cast<std::uint32_t>(17 * width + (time_window ? 1 : 0))};
+      std::deque<std::pair<std::int64_t, std::vector<std::string>>> live;  // oracle window
+      EventBatch batch;
+      std::int64_t t_us = 0;
+      const sim::SimDuration window = sim::seconds(5.0);
+      for (int round = 0; round < 60; ++round) {
+        batch.clear();
+        const std::size_t n = 1 + rng() % 40;
+        for (std::size_t k = 0; k < n; ++k) {
+          t_us += static_cast<std::int64_t>(rng() % 400000);
+          SlottedEvent& e = batch.emplace_back();
+          e.reset(sim::SimTime{t_us}, stream);
+          std::vector<std::string> rendered;
+          for (std::size_t c = 0; c < width; ++c) {
+            const KeyValue v = random_key_value(rng);
+            rendered.push_back(v.rendered());
+            switch (v.kind) {
+              case KeyValue::Kind::kAbsent:
+                break;
+              case KeyValue::Kind::kInt:
+                e.set_int(slots[c], v.i);
+                break;
+              case KeyValue::Kind::kReal:
+                e.set_real(slots[c], v.r);
+                break;
+              case KeyValue::Kind::kBool:
+                e.set_bool(slots[c], v.b);
+                break;
+              case KeyValue::Kind::kString:
+                e.set_string(slots[c], v.s);
+                break;
+            }
+          }
+          live.emplace_back(t_us, std::move(rendered));
+          if (!time_window && live.size() > 60) {
+            live.pop_front();
+          }
+        }
+        engine.push_batch(batch);
+        if (time_window) {
+          engine.advance_to(sim::SimTime{t_us});
+          while (!live.empty() && live.front().first <= t_us - window.micros()) {
+            live.pop_front();
+          }
+        }
+
+        std::map<std::string, std::pair<std::vector<std::string>, std::int64_t>> expect;
+        for (const auto& entry : live) {
+          auto& group = expect[join_rendered(entry.second)];
+          group.first = entry.second;
+          ++group.second;
+        }
+        const std::vector<ResultRow> rows = engine.snapshot(id);
+        ASSERT_EQ(rows.size(), expect.size()) << "round " << round;
+        auto it = expect.begin();
+        for (const ResultRow& row : rows) {
+          std::vector<std::string> key;
+          for (std::size_t c = 0; c < width; ++c) {
+            key.push_back(row.values.get_string(kCols[c]).value_or("<missing>"));
+          }
+          ASSERT_EQ(key, it->second.first) << "round " << round;
+          EXPECT_EQ(row.values.get_int("n").value_or(-1), it->second.second);
+          ++it;
+        }
+        for (const auto& [joined, group] : expect) {
+          const auto row = engine.group_row(id, group.first);
+          ASSERT_TRUE(row.has_value()) << "group_row missed a live group";
+          EXPECT_EQ(row->values.get_int("n").value_or(-1), group.second);
+        }
+        // Near-miss spellings of a live int key find nothing unless the
+        // oracle has that exact text as a group too.
+        for (const char* probe : {"07", "+7", "-0", "7.0"}) {
+          const std::vector<std::string> key(width, probe);
+          EXPECT_EQ(engine.group_row(id, key).has_value(),
+                    expect.count(join_rendered(key)) > 0)
+              << probe;
+        }
+        // Typed visits in sorted order: an int column is exactly the
+        // canonical int spelling of the rendered text.
+        auto vit = expect.begin();
+        std::size_t visited = 0;
+        engine.for_each_group(
+            id,
+            [&](const GroupKeyView& view, std::uint64_t count) {
+              ASSERT_NE(vit, expect.end());
+              ASSERT_EQ(view.size(), width);
+              for (std::size_t c = 0; c < width; ++c) {
+                const std::string& text = vit->second.first[c];
+                const auto as_int = canonical_int(text);
+                ASSERT_EQ(view.is_int(c), as_int.has_value()) << "'" << text << "'";
+                if (as_int) {
+                  EXPECT_EQ(view.int_at(c), *as_int);
+                }
+              }
+              EXPECT_EQ(static_cast<std::int64_t>(count), vit->second.second);
+              ++vit;
+              ++visited;
+            },
+            GroupOrder::kSorted);
+        EXPECT_EQ(visited, expect.size());
+      }
+
+      // Drain: time windows by advancing past the window, length windows by
+      // removing the query. Either way every interned string is released.
+      EXPECT_GT(engine.interned_strings(), 0u) << "the workload should intern strings";
+      if (time_window) {
+        engine.advance_to(sim::SimTime{t_us} + sim::seconds(60.0));
+        EXPECT_TRUE(engine.snapshot(id).empty());
+      } else {
+        EXPECT_TRUE(engine.remove_query(id));
+      }
+      EXPECT_EQ(engine.interned_strings(), 0u);
+    }
+  }
+}
+
+TEST(CepOracle, CanonicalIntIsExactlyToCharsRendering) {
+  EXPECT_EQ(canonical_int("7"), 7);
+  EXPECT_EQ(canonical_int("-7"), -7);
+  EXPECT_EQ(canonical_int("0"), 0);
+  EXPECT_EQ(canonical_int("-9223372036854775808"), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(canonical_int("9223372036854775807"), std::numeric_limits<std::int64_t>::max());
+  for (const char* s : {"", "07", "+7", "-0", "7.0", " 7", "7 ", "9223372036854775808",
+                        "-9223372036854775809", "1e3", "true", "0x7", "-"}) {
+    EXPECT_FALSE(canonical_int(s).has_value()) << "'" << s << "'";
   }
 }
 

@@ -13,10 +13,13 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cep/engine.h"
+#include "cep/epl_parser.h"
 #include "condor/scheduler.h"
 #include "core/erms.h"
 #include "fault/fault_plan.h"
@@ -586,6 +589,355 @@ TEST(ClusterSnapshot, SwappedReplicasAreAMapMismatch) {
   std::vector<std::string> got = after.violations;
   std::sort(got.begin(), got.end());
   EXPECT_EQ(got, expected) << after.text;
+}
+
+// ---------- CRC-32 ----------
+
+/// Bit-at-a-time CRC-32 (reflected 0xEDB88320): the definition, no tables.
+std::uint32_t crc32_bitwise(const unsigned char* p, std::size_t n) {
+  std::uint32_t crc = 0xFFFFFFFFU;
+  for (std::size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) != 0 ? 0xEDB88320U ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFU;
+}
+
+TEST(SnapshotCrc, CheckValue) {
+  EXPECT_EQ(snapshot::crc32("123456789", 9), 0xCBF43926U);
+  EXPECT_EQ(snapshot::crc32("", 0), 0U);
+}
+
+TEST(SnapshotCrc, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  std::mt19937 rng{20260};
+  std::vector<unsigned char> data(4 << 20);
+  for (unsigned char& b : data) {
+    b = static_cast<unsigned char>(rng());
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      ASSERT_EQ(snapshot::crc32(data.data() + offset, len),
+                crc32_bitwise(data.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  EXPECT_EQ(snapshot::crc32(data.data(), data.size()), crc32_bitwise(data.data(), data.size()));
+  EXPECT_EQ(snapshot::crc32(data.data() + 3, data.size() - 5),
+            crc32_bitwise(data.data() + 3, data.size() - 5));
+}
+
+// ---------- CEP engine section decoding ----------
+
+constexpr std::uint32_t kEmptyBucket = 0xFFFFFFFFU;
+constexpr std::uint32_t kTombBucket = 0xFFFFFFFEU;
+
+/// An engine section for one `count(*) ... GROUP BY fid` query, written
+/// field by field in Engine::save_state's layout. The defaults describe one
+/// live group (fid 7, one window entry at t=1ms) in pool slot 0, named by
+/// bucket 3 of 16.
+struct EngineSection {
+  struct Slot {
+    std::uint64_t count;
+    std::uint32_t bucket;
+    std::uint32_t mask;
+    std::uint64_t word;
+  };
+  std::vector<std::pair<bool, std::string>> strings;  // (live, text) by id
+  std::vector<std::uint32_t> string_free;
+  std::vector<std::pair<std::int64_t, std::uint32_t>> ring{{1000, 0}};
+  std::vector<std::uint32_t> buckets = [] {
+    std::vector<std::uint32_t> b(16, kEmptyBucket);
+    b[3] = 0;
+    return b;
+  }();
+  std::vector<Slot> slots{{1, 3, 0, 7}};
+  std::vector<std::uint32_t> free_slots;
+
+  [[nodiscard]] std::string file() const {
+    snapshot::Writer w;
+    w.begin_section(1);
+    w.u64(1);  // queries
+    w.u64(strings.size());
+    for (const auto& [live, text] : strings) {
+      w.u8(live ? 1 : 0);
+      if (live) {
+        w.str(text);
+      }
+    }
+    w.u64(string_free.size());
+    for (const std::uint32_t id : string_free) w.u32(id);
+    w.u64(1);  // query id
+    w.u32(0);  // numeric aggregates
+    w.u32(1);  // group-by width
+    w.u64(ring.size());
+    for (const auto& [t, slot] : ring) {
+      w.i64(t);
+      w.u32(slot);
+    }
+    w.u64(buckets.size());
+    for (const std::uint32_t b : buckets) w.u32(b);
+    w.u64(slots.size());
+    for (const Slot& s : slots) {
+      w.u64(s.count);
+      w.u32(s.bucket);
+      w.u32(s.mask);
+    }
+    for (const Slot& s : slots) w.u64(s.word);
+    w.u64(free_slots.size());
+    for (const std::uint32_t s : free_slots) w.u32(s);
+    w.u64(2);  // next query id
+    w.u64(ring.size());  // events processed
+    w.end_section();
+    return w.finish();
+  }
+};
+
+std::unique_ptr<cep::Engine> fid_engine() {
+  auto engine = std::make_unique<cep::Engine>();
+  engine->register_query(
+      cep::parse_epl("SELECT count(*) AS n FROM audit GROUP BY fid WINDOW TIME 10s"));
+  return engine;
+}
+
+snapshot::Reader load_engine(const std::string& file, cep::Engine& engine,
+                             std::vector<snapshot::Section>& sections) {
+  EXPECT_FALSE(snapshot::parse_file(file, sections).has_value());
+  snapshot::Reader r(sections.at(0).data, sections.at(0).size);
+  engine.load_state(r);
+  return r;
+}
+
+TEST(EngineSnapshot, HandWrittenSectionsLoad) {
+  const cep::QueryId id{1};
+  {
+    SCOPED_TRACE("int key");
+    auto engine = fid_engine();
+    std::vector<snapshot::Section> sections;
+    const snapshot::Reader r = load_engine(EngineSection{}.file(), *engine, sections);
+    ASSERT_TRUE(r.ok()) << r.error().to_string();
+    const auto rows = engine->snapshot(id);
+    ASSERT_EQ(rows.size(), 1U);
+    EXPECT_EQ(rows[0].values.get_string("fid"), "7");
+    EXPECT_EQ(rows[0].values.get_int("n"), 1);
+    engine->advance_to(sim::SimTime{sim::seconds(60.0).micros()});
+    EXPECT_TRUE(engine->snapshot(id).empty());
+  }
+  {
+    SCOPED_TRACE("string key");
+    EngineSection sec;
+    sec.strings = {{false, ""}, {true, "/a"}};
+    sec.string_free = {0};
+    sec.slots = {{1, 3, 1, 1}};
+    auto engine = fid_engine();
+    std::vector<snapshot::Section> sections;
+    const snapshot::Reader r = load_engine(sec.file(), *engine, sections);
+    ASSERT_TRUE(r.ok()) << r.error().to_string();
+    EXPECT_EQ(engine->interned_strings(), 1U);
+    const auto rows = engine->snapshot(id);
+    ASSERT_EQ(rows.size(), 1U);
+    EXPECT_EQ(rows[0].values.get_string("fid"), "/a");
+    engine->advance_to(sim::SimTime{sim::seconds(60.0).micros()});
+    EXPECT_EQ(engine->interned_strings(), 0U);
+  }
+}
+
+TEST(EngineSnapshot, WindowEntryNamingNoSlotIsRejected) {
+  // A CRC-valid section whose single window entry names pool slot 5 of an
+  // empty pool: eviction would index past the pool.
+  EngineSection sec;
+  sec.ring = {{1000, 5}};
+  sec.buckets.clear();
+  sec.slots.clear();
+  auto engine = fid_engine();
+  std::vector<snapshot::Section> sections;
+  const snapshot::Reader r = load_engine(sec.file(), *engine, sections);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, snapshot::ErrorCode::kBadSection) << r.error().to_string();
+}
+
+TEST(EngineSnapshot, InconsistentCrossReferencesAreRejected) {
+  struct Case {
+    const char* what;
+    void (*edit)(EngineSection&);
+  };
+  const Case cases[] = {
+      {"window entry names a dead slot",
+       [](EngineSection& s) {
+         s.slots = {{0, 0, 0, 7}};
+         s.buckets.assign(16, kEmptyBucket);
+         s.free_slots = {0};
+       }},
+      {"count above the slot's window entries", [](EngineSection& s) { s.slots[0].count = 2; }},
+      {"window entry missing from a live slot's count",
+       [](EngineSection& s) { s.ring.push_back({2000, 0}); }},
+      {"bucket names a slot past the pool", [](EngineSection& s) { s.buckets[5] = 9; }},
+      {"bucket names a dead slot",
+       [](EngineSection& s) {
+         s.slots.push_back({0, 5, 0, 8});
+         s.buckets[5] = 1;
+         s.free_slots = {1};
+       }},
+      {"slot's cached bucket points elsewhere", [](EngineSection& s) { s.slots[0].bucket = 4; }},
+      {"live slot named by no bucket",
+       [](EngineSection& s) { s.buckets.assign(16, kEmptyBucket); }},
+      {"live slot and no bucket table", [](EngineSection& s) { s.buckets.clear(); }},
+      {"bucket table with no empty bucket",
+       [](EngineSection& s) {
+         s.buckets.assign(16, kTombBucket);
+         s.buckets[3] = 0;
+       }},
+      {"bucket table size not a power of two",
+       [](EngineSection& s) { s.buckets.resize(24, kEmptyBucket); }},
+      {"freelist names a live slot", [](EngineSection& s) { s.free_slots = {0}; }},
+      {"freelist names a slot past the pool", [](EngineSection& s) { s.free_slots = {4}; }},
+      {"freelist misses a dead slot",
+       [](EngineSection& s) { s.slots.push_back({0, 0, 0, 0}); }},
+      {"freelist names a slot twice",
+       [](EngineSection& s) {
+         s.slots.push_back({0, 0, 0, 0});
+         s.free_slots = {1, 1};
+       }},
+      {"string id past the table", [](EngineSection& s) { s.slots[0].mask = 1; }},
+      {"string id names a free id",
+       [](EngineSection& s) {
+         s.strings = {{false, ""}};
+         s.string_free = {0};
+         s.slots[0] = {1, 3, 1, 0};
+       }},
+      {"mask bit above the key width", [](EngineSection& s) { s.slots[0].mask = 2; }},
+      {"string no group holds", [](EngineSection& s) { s.strings = {{true, "/zzz"}}; }},
+      {"string table holds an int spelling",
+       [](EngineSection& s) {
+         s.strings = {{true, "7"}};
+         s.slots[0] = {1, 3, 1, 0};
+       }},
+      {"duplicate string",
+       [](EngineSection& s) {
+         s.strings = {{true, "/a"}, {true, "/a"}};
+         s.slots[0] = {1, 3, 1, 0};
+       }},
+      {"string freelist names a live id",
+       [](EngineSection& s) {
+         s.strings = {{true, "/a"}};
+         s.string_free = {0};
+         s.slots[0] = {1, 3, 1, 0};
+       }},
+      {"string freelist misses a free id",
+       [](EngineSection& s) { s.strings = {{false, ""}}; }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    EngineSection sec;
+    c.edit(sec);
+    auto engine = fid_engine();
+    std::vector<snapshot::Section> sections;
+    const snapshot::Reader r = load_engine(sec.file(), *engine, sections);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().code, snapshot::ErrorCode::kBadSection) << r.error().to_string();
+  }
+}
+
+/// An engine with string, int, multi-column, numeric-aggregate and length
+/// window queries, fed `n` events from `seed`.
+std::unique_ptr<cep::Engine> busy_engine(std::uint32_t seed, int n) {
+  auto engine = std::make_unique<cep::Engine>();
+  for (const char* epl :
+       {"SELECT count(*) AS n FROM audit WHERE cmd == \"read\" GROUP BY fid, blk "
+        "WINDOW TIME 30s",
+        "SELECT count(*) AS n, sum(bytes) AS s, min(bytes) AS mn, max(bytes) AS mx "
+        "FROM audit GROUP BY src WINDOW TIME 20s",
+        "SELECT count(*) AS n FROM audit GROUP BY dn WINDOW LENGTH 50"}) {
+    engine->register_query(cep::parse_epl(epl));
+  }
+  std::mt19937 rng{seed};
+  for (int i = 0; i < n; ++i) {
+    cep::Event e{sim::SimTime{static_cast<std::int64_t>(i) * 100000}, "audit"};
+    e.with_string("cmd", rng() % 2 == 0 ? "read" : "open");
+    e.with_int("fid", static_cast<std::int64_t>(rng() % 30));
+    if (rng() % 4 != 0) {
+      e.with_int("blk", static_cast<std::int64_t>(rng() % 5));
+    }
+    e.with_string("src", "/f" + std::to_string(rng() % 20));
+    e.with_int("bytes", static_cast<std::int64_t>(rng() % 1000));
+    e.with_int("dn", static_cast<std::int64_t>(rng() % 7));
+    engine->push(e);
+  }
+  return engine;
+}
+
+TEST(EngineSnapshot, MutatedSectionsAreRejectedOrUsable) {
+  // Mutations inside a CRC-valid engine section: each load either fails
+  // with a structured error or leaves an engine that survives pushes,
+  // reads and eviction and still saves a loadable section (ASan runs this
+  // suite in CI).
+  std::string payload;
+  {
+    auto donor = busy_engine(7, 600);
+    snapshot::Writer w;
+    w.begin_section(1);
+    donor->save_state(w);
+    w.end_section();
+    std::vector<snapshot::Section> sections;
+    const std::string file = w.finish();
+    ASSERT_FALSE(snapshot::parse_file(file, sections).has_value());
+    payload.assign(sections.at(0).data, sections.at(0).size);
+  }
+  std::mt19937 rng{42};
+  int accepted = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 1500; ++iter) {
+    std::string mutated = payload;
+    for (std::uint32_t k = 0, edits = 1 + rng() % 3; k < edits; ++k) {
+      const std::size_t at = rng() % (mutated.size() - 4);
+      if (rng() % 2 == 0) {
+        mutated[at] = static_cast<char>(mutated[at] ^ (1 << (rng() % 8)));
+      } else {  // a plausible small index or a bucket sentinel
+        const std::uint32_t v = rng() % 3 == 0 ? 0xFFFFFFFEU - rng() % 2 : rng() % 64;
+        std::memcpy(mutated.data() + at, &v, sizeof v);
+      }
+    }
+    snapshot::Writer w;
+    w.begin_section(1);
+    w.raw(mutated.data(), mutated.size());
+    w.end_section();
+    const std::string file = w.finish();
+    auto engine = busy_engine(7, 0);
+    std::vector<snapshot::Section> sections;
+    snapshot::Reader r = load_engine(file, *engine, sections);
+    if (!r.ok()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    std::mt19937 ev_rng{static_cast<std::uint32_t>(iter)};
+    for (int i = 0; i < 40; ++i) {
+      cep::Event e{sim::SimTime{60000000 + static_cast<std::int64_t>(i) * 100000}, "audit"};
+      e.with_string("cmd", "read");
+      e.with_int("fid", static_cast<std::int64_t>(ev_rng() % 30));
+      e.with_string("src", "/f" + std::to_string(ev_rng() % 20));
+      e.with_int("bytes", 5);
+      e.with_int("dn", static_cast<std::int64_t>(ev_rng() % 7));
+      engine->push(e);
+    }
+    for (std::uint64_t q = 1; q <= 3; ++q) {
+      (void)engine->snapshot(cep::QueryId{q});
+    }
+    engine->advance_to(sim::SimTime{sim::seconds(600.0).micros()});
+    // Whatever the accepted values were, the engine kept its pool
+    // consistent: what it saves now loads again.
+    snapshot::Writer again;
+    again.begin_section(1);
+    engine->save_state(again);
+    again.end_section();
+    auto reloaded = busy_engine(7, 0);
+    std::vector<snapshot::Section> again_sections;
+    const snapshot::Reader r2 = load_engine(again.finish(), *reloaded, again_sections);
+    EXPECT_TRUE(r2.ok()) << r2.error().to_string();
+  }
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(accepted, 0);
 }
 
 }  // namespace
